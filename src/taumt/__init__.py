@@ -26,6 +26,7 @@ from .cusps import (
     classify_cusp,
     cusp_count,
     cusp_equivalent,
+    cusp_key,
     cusp_representatives,
 )
 from .iwasawa import (

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd
 
 from .arith import DirichletCharacter, ResidueRing
-from .cusps import Cusp, Divisor, classify_cusp, cusp_equivalent, cusp_representatives
+from .cusps import Cusp, Divisor, cusp_count, cusp_key, cusp_representatives
 from . import fixtures
 
 
@@ -20,32 +20,31 @@ class BoundarySymbol:
     """A Z/p^m-valued function on P^1(Q), constant on each Gamma_1(N) cusp.
 
     Stored as an orbit-value table over pairwise-inequivalent representatives;
-    cusps not listed take the value 0.  Evaluation caches by (a mod N, c mod N).
+    cusps not listed take the value 0.  Evaluation looks up the cusp's
+    cusp_key, memoized by (a mod N, c mod N), which the key depends on.
     """
 
     def __init__(self, level: int, ring: ResidueRing, reps: list[Cusp], values: list[int], label: str = ""):
         if len(reps) != len(values):
             raise ValueError("representative and value lists differ in length")
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if cusp_equivalent(level, reps[i], reps[j]):
-                    raise ValueError(f"representatives {reps[i]} and {reps[j]} are equivalent")
         self.level = level
         self.ring = ring
         self.reps = list(reps)
         self.values = [ring.reduce(v) for v in values]
         self.label = label
-        self._cache: dict[tuple[int, int], int] = {}
+        self._table = {cusp_key(level, r): v for r, v in zip(self.reps, self.values)}
+        if len(self._table) != len(self.reps):
+            raise ValueError("representatives are not pairwise inequivalent")
+        self._memo: dict[tuple[int, int], int] = {}
 
     def value(self, cusp: Cusp) -> int:
         """The symbol's value at the cusp, 0 off the listed support."""
-        key = (cusp.a % self.level, cusp.c % self.level)
-        cached = self._cache.get(key)
-        if cached is None:
-            i = classify_cusp(self.level, cusp, self.reps)
-            cached = 0 if i is None else self.values[i]
-            self._cache[key] = cached
-        return cached
+        # the memo saves the key's gcd on the Mazur-Tate hot path
+        residues = (cusp.a % self.level, cusp.c % self.level)
+        v = self._memo.get(residues)
+        if v is None:
+            v = self._memo[residues] = self._table.get(cusp_key(self.level, cusp), 0)
+        return v
 
     def difference(self, r: Cusp, s: Cusp) -> int:
         """value(r) - value(s) in the symbol's ring."""
@@ -60,12 +59,13 @@ class BoundarySymbol:
         return f"<{tag}: level {self.level}, ring Z/{self.ring.n}, {len(self.reps)} classes>"
 
 
-def _support_cusp(x: int, qy: int) -> Cusp:
-    # lift x mod Q to a numerator coprime to Q*y
+def _support_cusp(x: int, Q: int, y: int) -> Cusp:
+    # y is a unit mod R, so the Gamma_1(QR) class of a/(Qy) depends only on
+    # a mod Q: lift x mod Q to a numerator coprime to Q*y
     t = 0
-    while gcd(x + t * qy, qy) != 1:
+    while gcd(x + t * Q, Q * y) != 1:
         t += 1
-    return Cusp.make(x + t * qy, qy)
+    return Cusp.make(x + t * Q, Q * y)
 
 
 def eisenstein_boundary_symbol(
@@ -92,6 +92,7 @@ def eisenstein_boundary_symbol(
     M = Q * R
     psi_inv = psi.inverse()
     reps = cusp_representatives(M)
+    index = {cusp_key(M, r): i for i, r in enumerate(reps)}
     values = [0] * len(reps)
     for x in range(1, Q + 1):
         if gcd(x, Q) != 1:
@@ -102,7 +103,7 @@ def eisenstein_boundary_symbol(
             weight = ring.reduce(psi_inv(x) * chi(y))
             if weight == 0:
                 continue
-            i = classify_cusp(M, _support_cusp(x, Q * y), reps)
+            i = index[cusp_key(M, _support_cusp(x, Q, y))]
             values[i] = (values[i] + weight) % ring.n
     label = f"phi(0, psi mod {Q}, chi mod {R})"
     return BoundarySymbol(M, ring, reps, values, label)
@@ -113,15 +114,12 @@ def phi9_symbol() -> BoundarySymbol:
     """The explicit Z/9-valued boundary symbol of level 27, from its orbit table."""
     rows = fixtures.load_orbit_table("phi9_orbits.csv")
     reps = [Cusp.parse(r) for r, _ in rows]
+    if len(reps) != cusp_count(27):
+        raise ValueError(f"phi9 orbit table lists {len(reps)} of the {cusp_count(27)} classes")
     values = [v for _, v in rows]
     return BoundarySymbol(27, ResidueRing(3, 2), reps, values, "phi9")
 
 
 def phi9(r: Cusp) -> int:
     """Value of the level-27 mod-9 symbol at a cusp."""
-    sym = phi9_symbol()
-    key = (r.a % 27, r.c % 27)
-    if key not in sym._cache:
-        if classify_cusp(27, r, sym.reps) is None:
-            raise RuntimeError(f"cusp {r} missed the phi9 orbit table; table must be total")
-    return sym.value(r)
+    return phi9_symbol().value(r)

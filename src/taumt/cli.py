@@ -19,7 +19,7 @@ import random
 import sys
 
 from . import fixtures
-from .arith import INFINITY, DirichletCharacter
+from .arith import INFINITY, DirichletCharacter, _prime_factors
 from .boundary import eisenstein_boundary_symbol, phi9_symbol
 from .cusps import Cusp
 from .iwasawa import (
@@ -267,11 +267,14 @@ def cmd_mt(args, parser) -> int:
         m = args.m or (2 if p == 3 else 1)
         theta = mazur_tate(delta_symbol(), p, n, m)
     elif args.source == "phi9":
-        if p != 3:
-            parser.error("--source phi9 requires --p 3")
         m = args.m or 2
+        if p != 3 or m > 2:
+            parser.error("--source phi9 lives in Z/9: it needs --p 3 and --m at most 2")
         theta = mazur_tate(phi9_symbol(), 3, n, m)
     else:
+        # delta and phi9 accept fixed primes; only eis needs the O(sqrt p) test
+        if _prime_factors(p) != [p]:
+            parser.error("--source eis needs a prime --p")
         m = args.m or 1
         exponent = args.a if args.a is not None else CANONICAL_EXPONENT.get(p)
         if exponent is None:
@@ -317,6 +320,8 @@ def main(argv=None) -> int:
     if args.command == "tau":
         if args.n < 1:
             parser.error("--n must be at least 1")
+        if args.mod is not None and args.mod < 1:
+            parser.error("--mod must be at least 1")
         return cmd_tau(args)
     if args.command == "verify":
         return cmd_verify(args, parser)

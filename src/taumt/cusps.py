@@ -3,8 +3,9 @@
 A cusp is a coprime pair (a, c) with c >= 0, written a/c, and (1, 0) for
 infinity.  Two cusps a/c and a'/c' are Gamma_1(N)-equivalent exactly when
 (a', c') = +-(a + j c, c) mod N for some integer j; see Diamond-Shurman,
-Prop. 3.8.3.  The scan over signs and j in [0, N) below is that criterion
-verbatim.
+Prop. 3.8.3.  As j runs, a + j c covers the class of a mod gcd(c, N), so
+the class of a/c is named by the closed-form key of cusp_key, and every
+classification below is a comparison or lookup of keys.
 """
 
 from __future__ import annotations
@@ -117,23 +118,26 @@ class Divisor:
         return "Divisor(" + " + ".join(f"{m}*({c})" for c, m in sorted(self._terms.items())) + ")"
 
 
+def cusp_key(N: int, x: Cusp) -> tuple[int, int]:
+    """Canonical name of the Gamma_1(N) cusp of x = a/c.
+
+    The pair (c mod N, a mod gcd(c, N)), taken with whichever sign of
+    (a, c) gives the smaller pair; equal keys mean equivalent cusps.
+    """
+    g = gcd(x.c, N)
+    return min((x.c % N, x.a % g), (-x.c % N, -x.a % g))
+
+
 def cusp_equivalent(N: int, x: Cusp, y: Cusp) -> bool:
     """Whether x and y lie in the same Gamma_1(N) cusp."""
-    a1, c1 = x.a % N, x.c % N
-    a2, c2 = y.a % N, y.c % N
-    for sign in (1, -1):
-        if (sign * c1 - c2) % N:
-            continue
-        for j in range(N):
-            if (sign * (a1 + j * c1) - a2) % N == 0:
-                return True
-    return False
+    return cusp_key(N, x) == cusp_key(N, y)
 
 
 def classify_cusp(N: int, x: Cusp, reps: list[Cusp]) -> int | None:
     """Index of the representative equivalent to x, or None."""
+    key = cusp_key(N, x)
     for i, r in enumerate(reps):
-        if cusp_equivalent(N, x, r):
+        if cusp_key(N, r) == key:
             return i
     return None
 
@@ -160,6 +164,7 @@ def cusp_representatives(N: int) -> list[Cusp]:
     """
     target = cusp_count(N)
     reps: list[Cusp] = [INFINITY_CUSP]
+    seen = {cusp_key(N, INFINITY_CUSP)}
     bound = N + 1
     while len(reps) < target:
         for c in range(1, bound):
@@ -167,7 +172,9 @@ def cusp_representatives(N: int) -> list[Cusp]:
                 if gcd(a, c) != 1:
                     continue
                 x = Cusp(a, c)
-                if classify_cusp(N, x, reps) is None:
+                key = cusp_key(N, x)
+                if key not in seen:
+                    seen.add(key)
                     reps.append(x)
                     if len(reps) == target:
                         return reps

@@ -24,6 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .arith import _prime_factors
 from .cusps import Cusp, Divisor
 from . import linalg
 
@@ -367,20 +368,6 @@ class WeightZeroSymbol:
     def pair(self, r: Cusp, s: Cusp) -> int:
         """Value on {r} - {s}."""
         return self.on_divisor(Divisor.path(r, s))
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def alpha_N(sym: ManinSymbol, modulus: int, normalize: bool = False) -> WeightZeroSymbol:

@@ -1,3 +1,6 @@
+from importlib import resources
+from math import gcd
+
 import pytest
 
 from conftest import random_cusp, random_gamma1
@@ -5,7 +8,7 @@ from conftest import random_cusp, random_gamma1
 from taumt import fixtures
 from taumt.arith import DirichletCharacter, ResidueRing, teichmuller
 from taumt.boundary import BoundarySymbol, eisenstein_boundary_symbol, phi9, phi9_symbol
-from taumt.cusps import Cusp, Divisor, INFINITY_CUSP, cusp_representatives
+from taumt.cusps import Cusp, Divisor, INFINITY_CUSP, cusp_count, cusp_equivalent, cusp_representatives
 
 
 def eis_symbol(p, a):
@@ -130,3 +133,43 @@ def test_duplicate_representative_rejected():
     ring = ResidueRing(5, 1)
     with pytest.raises(ValueError):
         BoundarySymbol(5, ring, [Cusp.parse("1/5"), INFINITY_CUSP], [1, 2])
+
+
+def test_phi9_table_missing_a_class_rejected(tmp_path, monkeypatch):
+    text = resources.files("taumt").joinpath("fixtures", "phi9_orbits.csv").read_text(encoding="utf-8")
+    (tmp_path / "phi9_orbits.csv").write_text("\n".join(text.splitlines()[:-1]) + "\n", encoding="utf-8")
+    monkeypatch.setenv(fixtures.ENV_VAR, str(tmp_path))
+    phi9_symbol.cache_clear()
+    try:
+        with pytest.raises(ValueError):
+            phi9_symbol()
+    finally:
+        phi9_symbol.cache_clear()
+
+
+@pytest.mark.parametrize("psi, chi", [
+    (DirichletCharacter.teichmuller_power(5, 2), DirichletCharacter(3, 1, (0, 1, 1), ResidueRing(5, 1))),
+    (DirichletCharacter.teichmuller_power(5, 1), DirichletCharacter(3, 3, (0, 1, 4), ResidueRing(5, 1))),
+    (DirichletCharacter.teichmuller_power(7, 4), DirichletCharacter(3, 1, (0, 1, 1), ResidueRing(7, 1))),
+], ids=["level15-trivial-chi", "level15-quadratic-chi", "level21-trivial-chi"])
+def test_composite_level_eisenstein_symbol(rng, psi, chi):
+    sym = eisenstein_boundary_symbol(psi, chi)
+    M = psi.modulus * chi.modulus
+    assert sym.level == M
+    assert len(sym.reps) == cusp_count(M)
+    # by definition, the value at any lift of x/(Qy) is the total weight
+    # psi^-1(x') chi(y') over the pairs whose cusps are equivalent to it
+    Q, R, n = psi.modulus, chi.modulus, sym.ring.n
+    lifts = {
+        (x, y): [Cusp.make(x + t * Q, Q * y) for t in range(2 * R) if gcd(x + t * Q, Q * y) == 1]
+        for x in range(1, Q) if gcd(x, Q) == 1
+        for y in range(1, R) if gcd(y, R) == 1
+    }
+    for cusps in lifts.values():
+        assert cusps
+        expected = sum(psi.inverse()(x2) * chi(y2) for (x2, y2), other in lifts.items()
+                       if cusp_equivalent(M, cusps[0], other[-1])) % n
+        assert all(sym.value(c) == expected for c in cusps)
+    for _ in range(300):
+        x = random_cusp(rng)
+        assert sym.value(x) == sym.value(x.apply(random_gamma1(rng, M)))

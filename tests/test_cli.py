@@ -71,6 +71,22 @@ def test_mt_rejects_unsupported_prime():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["tau", "--n", "3", "--mod", "0"], "--mod must be at least 1"),
+    (["tau", "--n", "3", "--mod", "-7"], "--mod must be at least 1"),
+    (["mt", "--source", "eis", "--p", "9", "--a", "2", "--n", "1"], "needs a prime --p"),
+    (["mt", "--source", "phi9", "--p", "3", "--n", "1", "--m", "3"], "--m at most 2"),
+])
+def test_bad_input_is_a_one_line_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("taumt: error: ")
+    assert message in captured.err.splitlines()[-1]
+
+
 def test_mt_csv_format(capsys):
     code, out = run(capsys, "mt", "--source", "eis", "--p", "5", "--n", "1", "--format", "csv")
     assert code == 0

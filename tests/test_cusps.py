@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from conftest import random_cusp, random_gamma1
@@ -9,8 +11,22 @@ from taumt.cusps import (
     classify_cusp,
     cusp_count,
     cusp_equivalent,
+    cusp_key,
     cusp_representatives,
 )
+
+
+def scan_equivalent(N: int, x: Cusp, y: Cusp) -> bool:
+    """Reference: the sign-and-shift scan of Diamond-Shurman, Prop. 3.8.3."""
+    a1, c1 = x.a % N, x.c % N
+    a2, c2 = y.a % N, y.c % N
+    for sign in (1, -1):
+        if (sign * c1 - c2) % N:
+            continue
+        for j in range(N):
+            if (sign * (a1 + j * c1) - a2) % N == 0:
+                return True
+    return False
 
 
 def test_cusp_canonical_form():
@@ -109,3 +125,23 @@ def test_classify_total_over_representatives(rng):
         for _ in range(1000 if N == 27 else 300):
             x = random_cusp(rng, max_den=10_000)
             assert classify_cusp(N, x, reps) is not None
+
+
+def test_key_agrees_with_sign_and_shift_scan(rng):
+    # unrelated pairs, Gamma_1(N) images, and pairs sharing c mod N but not
+    # necessarily a mod gcd(c, N), so both outcomes occur at every level
+    for N in range(1, 61):
+        for _ in range(120):
+            x = random_cusp(rng)
+            kind = rng.randrange(3)
+            if kind == 0:
+                y = random_cusp(rng)
+            elif kind == 1:
+                y = x.apply(random_gamma1(rng, N))
+            else:
+                c = x.c + N * rng.randrange(0, 3)
+                a = rng.randrange(-60, 61)
+                if gcd(a, c) != 1:
+                    continue
+                y = Cusp.make(a, c)
+            assert (cusp_key(N, x) == cusp_key(N, y)) == scan_equivalent(N, x, y), (N, x, y)
