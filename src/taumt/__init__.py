@@ -38,7 +38,6 @@ from .iwasawa import (
     invariants,
     mazur_tate,
     to_T_basis,
-    verify_lambda_theorems,
 )
 from .mansym import (
     ManinSymbol,

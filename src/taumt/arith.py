@@ -61,7 +61,7 @@ def _prime_factors(n: int) -> list[int]:
 @lru_cache(maxsize=None)
 def primitive_root(p: int, n: int = 0) -> int:
     """Smallest positive generator of (Z/p^(n+1)Z)^x for an odd prime p."""
-    if p == 2 or p < 3:
+    if p == 2 or _prime_factors(p) != [p]:
         raise ValueError(f"p must be an odd prime, got {p}")
     modulus = p ** (n + 1)
     order = (p - 1) * p**n
@@ -130,8 +130,8 @@ class ResidueRing:
     __slots__ = ("p", "m", "n")
 
     def __init__(self, p: int, m: int = 1):
-        if p < 2 or m < 1:
-            raise ValueError(f"bad residue ring parameters ({p}, {m})")
+        if _prime_factors(p) != [p] or m < 1:
+            raise ValueError(f"bad residue ring parameters ({p}, {m}): need a prime p and m >= 1")
         self.p = p
         self.m = m
         self.n = p**m
@@ -141,9 +141,6 @@ class ResidueRing:
 
     def inverse(self, x: int) -> int:
         return pow(x, -1, self.n)
-
-    def is_unit(self, x: int) -> bool:
-        return x % self.p != 0
 
     def units(self) -> list[int]:
         return [x for x in range(1, self.n) if x % self.p]
@@ -198,9 +195,6 @@ class DirichletCharacter:
             return -1
         raise ValueError("character value at -1 is not +-1")
 
-    def is_trivial(self) -> bool:
-        return all(v in (0, 1) for v in self.values)
-
     def inverse(self) -> "DirichletCharacter":
         """The character a -> chi(a)^(-1) on units."""
         if self.ring is None:
@@ -226,46 +220,3 @@ class DirichletCharacter:
             values[x] = pow(ring.teichmuller(x), a, ring.n)
         conductor = 1 if a % (p - 1) == 0 else p
         return DirichletCharacter(p, conductor, tuple(values), ring)
-
-    @staticmethod
-    def from_values(modulus: int, unit_values: dict[int, int], ring: ResidueRing) -> "DirichletCharacter":
-        """Build a character from its values on the units mod modulus."""
-        values = [0] * modulus
-        for a, v in unit_values.items():
-            if gcd(a, modulus) != 1:
-                raise ValueError(f"{a} is not a unit mod {modulus}")
-            values[a % modulus] = ring.reduce(v)
-        char = DirichletCharacter(modulus, _conductor(modulus, values), tuple(values), ring)
-        _check_multiplicative(char)
-        return char
-
-
-def _check_multiplicative(char: DirichletCharacter) -> None:
-    M = char.modulus
-    units = [a for a in range(M) if gcd(a, M) == 1]
-    red = char.ring.reduce if char.ring else (lambda x: x)
-    for a in units:
-        for b in units:
-            if red(char(a) * char(b)) != char(a * b):
-                raise ValueError("value table is not multiplicative")
-
-
-def _conductor(modulus: int, values: list[int]) -> int:
-    for q in range(1, modulus + 1):
-        if modulus % q:
-            continue
-        ok = True
-        for a in range(modulus):
-            if gcd(a, modulus) != 1:
-                continue
-            b = a % q
-            # compare against any unit congruent to a mod q
-            for c in range(modulus):
-                if gcd(c, modulus) == 1 and c % q == b and values[c] != values[a]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return q
-    return modulus

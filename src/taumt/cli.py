@@ -22,13 +22,7 @@ from . import fixtures
 from .arith import INFINITY, DirichletCharacter, _prime_factors
 from .boundary import eisenstein_boundary_symbol, phi9_symbol
 from .cusps import Cusp
-from .iwasawa import (
-    fit_global_unit,
-    invariants,
-    mazur_tate,
-    to_T_basis,
-    verify_lambda_theorems,
-)
+from .iwasawa import fit_global_unit, invariants, mazur_tate, to_T_basis
 from .mansym import alpha_N, delta_symbol
 from .qseries import admissible_sweep, tau_expansion, verify_serre_congruences, verify_tau_congruence
 
@@ -48,12 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_tau.add_argument("--out", default=None, help="write to a file instead of stdout")
 
     p_verify = sub.add_parser("verify", help="recompute a family of claims")
-    p_verify.add_argument("theorem", choices=["A", "B", "C", "D", "serre", "congmodsymb", "appendix"])
-    p_verify.add_argument("--p", type=int, action="append", default=None, help="restrict to this prime (repeatable)")
-    p_verify.add_argument("--nmax", type=int, default=None, help="largest Mazur-Tate level")
-    p_verify.add_argument("--bound", type=int, default=10000, help="coefficient bound for scans")
-    p_verify.add_argument("--samples", type=int, default=200, help="random divisor pairs for congmodsymb")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p_verify.add_argument("theorem", choices=list(FAMILIES))
+    # the per-family flags default to None so that "not given" stays visible
+    # to cmd_verify, which fills each family's own defaults from FAMILIES
+    p_verify.add_argument("--p", type=int, action="append", help="restrict to this prime (repeatable)")
+    p_verify.add_argument("--nmax", type=int, help="largest Mazur-Tate level")
+    p_verify.add_argument("--bound", type=int, help="coefficient bound for scans")
+    p_verify.add_argument("--samples", type=int, help="random divisor pairs for congmodsymb")
+    p_verify.add_argument("--seed", type=int, help="seed for sampled checks")
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
     p_verify.add_argument("--fixtures", default=None, help="override the fixture directory")
     p_verify.add_argument("--out", default=None)
@@ -95,6 +91,12 @@ def _record(claim: str, computed, expected, passed: bool, **extra) -> dict:
     return rec
 
 
+def _eisenstein_symbol(p: int, exponent: int, m: int):
+    """The boundary symbol of (omega_p^exponent, trivial) with values in Z/p^m."""
+    psi = DirichletCharacter.teichmuller_power(p, exponent, m)
+    return eisenstein_boundary_symbol(psi, DirichletCharacter.trivial())
+
+
 def _jsonable(x):
     if x == INFINITY:
         return "inf"
@@ -110,35 +112,27 @@ def cmd_tau(args) -> int:
     return 0
 
 
-def _theorem_checks_to_records(checks) -> list[dict]:
-    return [
-        _record(c.claim, list(map(_jsonable, c.computed)), list(map(_jsonable, c.expected)), c.passed, p=c.p, n=c.n)
-        for c in checks
-    ]
-
-
-def _verify_A(args) -> list[dict]:
-    primes = args.p or [3, 5, 7]
+def _verify_A(args) -> tuple[list[dict], None]:
     bound = args.bound
     tau = tau_expansion(bound)
     records = []
-    for p in primes:
+    for p in args.p:
         rep = verify_tau_congruence(p, 2, CANONICAL_EXPONENT[p], 0, bound, tau)
         records.append(_record(str(rep), "holds" if rep.ok else list(rep.first_failure), "holds", rep.ok, p=p))
     sweep_bound = min(bound, 1000)
-    for p in primes:
+    for p in args.p:
         for rep in admissible_sweep(p, 20, sweep_bound, tau):
             records.append(_record(str(rep), "holds" if rep.ok else list(rep.first_failure), "holds", rep.ok, p=p))
-    return records
+    return records, None
 
 
-def _verify_serre(args) -> list[dict]:
+def _verify_serre(args) -> tuple[list[dict], None]:
     records = []
     for modulus, e1, e2 in fixtures.load_serre_congruences():
         rep = verify_serre_congruences(args.bound, congruences=[(modulus, e1, e2)])[0]
         claim = f"tau(l) = l^{e1} + l^{e2} mod {modulus} for primes l <= {args.bound}"
         records.append(_record(claim, "holds" if rep.ok else rep.first_failure, "holds", rep.ok))
-    return records
+    return records, None
 
 
 def _random_cusp(rng: random.Random) -> Cusp:
@@ -152,11 +146,10 @@ def _random_cusp(rng: random.Random) -> Cusp:
                 continue
 
 
-def _verify_congmodsymb(args) -> list[dict]:
+def _verify_congmodsymb(args) -> tuple[list[dict], None]:
     records = []
     rng = random.Random(args.seed)
-    primes = args.p or [5, 7]
-    for p in primes:
+    for p in args.p:
         table = fixtures.load_divisor_values(f"s{p}_values.csv")
         alpha = alpha_N(delta_symbol(), p, normalize=True)
         ours = [alpha.pair(Cusp.parse(r), Cusp.parse(s)) for r, s, _ in table]
@@ -167,8 +160,7 @@ def _verify_congmodsymb(args) -> list[dict]:
             ours, printed, unit is not None, p=p, unit=unit))
         if unit is None:
             continue
-        psi = DirichletCharacter.teichmuller_power(p, CANONICAL_EXPONENT[p], 1)
-        phi = eisenstein_boundary_symbol(psi, DirichletCharacter.trivial())
+        phi = _eisenstein_symbol(p, CANONICAL_EXPONENT[p], 1)
         c_p = {5: 2, 7: 1}[p] * unit % p
         bad = None
         for _ in range(args.samples):
@@ -181,7 +173,7 @@ def _verify_congmodsymb(args) -> list[dict]:
         records.append(_record(
             f"alpha_{p}(delta)({{r}}-{{s}}) = c * (phi_{p}(r) - phi_{p}(s)) mod {p} on {args.samples} random pairs",
             bad or "holds", "holds", bad is None, p=p, unit=unit, c=c_p))
-    return records
+    return records, None
 
 
 def _verify_appendix(args) -> tuple[list[dict], str]:
@@ -217,33 +209,88 @@ def _verify_appendix(args) -> tuple[list[dict], str]:
     return records, buf.getvalue()
 
 
-_VERIFY_PRIMES = {"A": (3, 5, 7), "B": (5, 7), "C": (5, 7), "congmodsymb": (5, 7)}
+def _invariants_record(claim: str, theta, expected: tuple) -> dict:
+    inv = invariants(theta)
+    computed = (inv.mu, inv.lam)
+    return _record(claim, list(map(_jsonable, computed)), list(expected), computed == expected, p=theta.p, n=theta.n)
+
+
+def _verify_B(args) -> tuple[list[dict], None]:
+    """Boundary route: mu = 0 and lambda = p^n - 1 for the level-p Eisenstein symbol."""
+    records = []
+    for p in args.p:
+        phi = _eisenstein_symbol(p, CANONICAL_EXPONENT[p], 1)
+        for n in range(1, args.nmax + 1):
+            records.append(_invariants_record(
+                f"lambda(theta_{{{n},eis}}) = {p}^{n} - 1", mazur_tate(phi, p, n, 1), (0, p**n - 1)))
+    return records, None
+
+
+def _verify_C(args) -> tuple[list[dict], None]:
+    """Delta route: the same lambda, and theta_Delta = c_p * theta_eis mod p coefficientwise."""
+    records = []
+    for p in args.p:
+        phi = _eisenstein_symbol(p, CANONICAL_EXPONENT[p], 1)
+        for n in range(1, args.nmax + 1):
+            theta_delta = mazur_tate(delta_symbol(), p, n, 1)
+            theta_eis = mazur_tate(phi, p, n, 1)
+            records.append(_invariants_record(
+                f"lambda(theta_{{{n},Delta}}) = {p}^{n} - 1", theta_delta, (0, p**n - 1)))
+            unit = fit_global_unit(list(theta_delta.coeffs), list(theta_eis.coeffs), p, 1)
+            records.append(_record(
+                f"theta_{{{n},Delta}} = c * theta_{{{n},eis}} mod {p}",
+                [unit], ["some unit"], unit is not None, p=p, n=n))
+    return records, None
+
+
+def _verify_D(args) -> tuple[list[dict], None]:
+    """p = 3 at precision 9 by both routes: mu = 1 and lambda = 3^n - 2."""
+    records = []
+    for n in range(1, args.nmax + 1):
+        for label, source in (("Delta", delta_symbol()), ("phi9", phi9_symbol())):
+            records.append(_invariants_record(
+                f"(mu, lambda)(theta_{{{n},{label}}}) = (1, 3^{n} - 2) mod 9",
+                mazur_tate(source, 3, n, 2), (1, 3**n - 2)))
+    return records, None
+
+
+# name -> (function, the per-family flags it takes with their defaults).
+# The default of --p is every prime the family supports; a flag missing
+# from an entry is a usage error for that family.  Each function returns
+# its records and, for a family whose csv is not the record list, that csv.
+FAMILIES = {
+    "A": (_verify_A, {"p": (3, 5, 7), "bound": 10000}),
+    "B": (_verify_B, {"p": (5, 7), "nmax": 2}),
+    "C": (_verify_C, {"p": (5, 7), "nmax": 2}),
+    "D": (_verify_D, {"p": (3,), "nmax": 2}),
+    "serre": (_verify_serre, {"bound": 10000}),
+    "congmodsymb": (_verify_congmodsymb, {"p": (5, 7), "samples": 200, "seed": 0}),
+    "appendix": (_verify_appendix, {}),
+}
+FAMILY_FLAGS = ("p", "nmax", "bound", "samples", "seed")
+_AT_LEAST = {"nmax": 1, "bound": 2, "samples": 1}
 
 
 def cmd_verify(args, parser) -> int:
-    if args.fixtures:
+    run, takes = FAMILIES[args.theorem]
+    for flag in FAMILY_FLAGS:
+        value = getattr(args, flag)
+        if value is None:
+            setattr(args, flag, takes.get(flag))
+        elif flag not in takes:
+            parser.error(f"verify {args.theorem} does not take --{flag}")
+        elif flag in _AT_LEAST and value < _AT_LEAST[flag]:
+            parser.error(f"--{flag} must be at least {_AT_LEAST[flag]}")
+    if args.p is not None:
+        if len(set(args.p)) < len(args.p):
+            parser.error("--p names the same prime twice")
+        if not set(args.p) <= set(takes["p"]):
+            parser.error(f"verify {args.theorem} supports --p in {set(takes['p'])}")
+    if args.fixtures is not None:
+        if not os.path.isdir(args.fixtures):
+            parser.error(f"--fixtures {args.fixtures} is not a directory")
         os.environ[fixtures.ENV_VAR] = args.fixtures
-    theorem = args.theorem
-    allowed = _VERIFY_PRIMES.get(theorem)
-    if allowed and args.p and not set(args.p) <= set(allowed):
-        parser.error(f"verify {theorem} supports --p in {set(allowed)}")
-    if args.bound < 2:
-        parser.error("--bound must be at least 2")
-    if args.nmax is not None and args.nmax < 1:
-        parser.error("--nmax must be at least 1")
-    table_csv = None
-    if theorem == "A":
-        records = _verify_A(args)
-    elif theorem == "serre":
-        records = _verify_serre(args)
-    elif theorem == "congmodsymb":
-        records = _verify_congmodsymb(args)
-    elif theorem == "appendix":
-        records, table_csv = _verify_appendix(args)
-    else:
-        nmax = args.nmax or 2
-        primes = tuple(args.p) if args.p else (5, 7)
-        records = _theorem_checks_to_records(verify_lambda_theorems(theorem, nmax, primes))
+    records, table_csv = run(args)
     if args.format == "csv" and table_csv is not None:
         _emit(table_csv, args.out)
     else:
@@ -279,9 +326,8 @@ def cmd_mt(args, parser) -> int:
         exponent = args.a if args.a is not None else CANONICAL_EXPONENT.get(p)
         if exponent is None:
             parser.error(f"no default Teichmuller exponent for p={p}; pass --a")
-        psi = DirichletCharacter.teichmuller_power(p, exponent, m)
         try:
-            phi = eisenstein_boundary_symbol(psi, DirichletCharacter.trivial())
+            phi = _eisenstein_symbol(p, exponent, m)
         except ValueError as exc:
             parser.error(str(exc))
         theta = mazur_tate(phi, p, n, m)

@@ -152,16 +152,6 @@ def invariants(F: TPoly | GroupRingElt) -> IwasawaInvariants:
     return IwasawaInvariants(mu, lam, True)
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    claim: str
-    p: int
-    n: int
-    computed: tuple
-    expected: tuple
-    passed: bool
-
-
 def fit_global_unit(ours: list[int], reference: list[int], p: int, m: int) -> int | None:
     """A unit u with ours = u * reference mod p^m entrywise, or None."""
     pm = p**m
@@ -171,67 +161,3 @@ def fit_global_unit(ours: list[int], reference: list[int], p: int, m: int) -> in
         if all((x - u * y) % pm == 0 for x, y in zip(ours, reference)):
             return u
     return None
-
-
-def _delta_route(p, n, m):
-    from .mansym import delta_symbol
-
-    return mazur_tate(delta_symbol(), p, n, m)
-
-
-def _eis_route(p, n, m=1):
-    from .arith import DirichletCharacter
-    from .boundary import eisenstein_boundary_symbol
-
-    exponent = {3: 2, 5: 2, 7: 4}[p]
-    psi = DirichletCharacter.teichmuller_power(p, exponent, m)
-    phi = eisenstein_boundary_symbol(psi, DirichletCharacter.trivial())
-    return mazur_tate(phi, p, n, m)
-
-
-def verify_lambda_theorems(which: str, n_max: int = 2, primes=(5, 7)) -> list[TheoremCheck]:
-    """Recompute Mazur-Tate invariants and compare against the closed forms.
-
-    "B": boundary route, lambda = p^n - 1 and mu = 0 for the level-p
-         Eisenstein symbols at p in primes.
-    "C": Delta route at p in primes, same lambda, plus the coefficientwise
-         congruence theta_Delta = c_p * theta_Eisenstein mod p.
-    "D": p = 3 at precision 9 by both routes: mu = 1, lambda = 3^n - 2.
-    """
-    checks = []
-    if which == "B":
-        for p in primes:
-            for n in range(1, n_max + 1):
-                inv = invariants(_eis_route(p, n))
-                expected = (0, p**n - 1)
-                checks.append(TheoremCheck(
-                    f"lambda(theta_{{{n},eis}}) = {p}^{n} - 1", p, n,
-                    (inv.mu, inv.lam), expected, (inv.mu, inv.lam) == expected))
-    elif which == "C":
-        for p in primes:
-            for n in range(1, n_max + 1):
-                theta_delta = _delta_route(p, n, 1)
-                theta_eis = _eis_route(p, n)
-                inv = invariants(theta_delta)
-                expected = (0, p**n - 1)
-                checks.append(TheoremCheck(
-                    f"lambda(theta_{{{n},Delta}}) = {p}^{n} - 1", p, n,
-                    (inv.mu, inv.lam), expected, (inv.mu, inv.lam) == expected))
-                unit = fit_global_unit(list(theta_delta.coeffs), list(theta_eis.coeffs), p, 1)
-                checks.append(TheoremCheck(
-                    f"theta_{{{n},Delta}} = c * theta_{{{n},eis}} mod {p}", p, n,
-                    (unit,), ("some unit",), unit is not None))
-    elif which == "D":
-        from .boundary import phi9_symbol
-
-        for n in range(1, n_max + 1):
-            for label, theta in (("Delta", _delta_route(3, n, 2)),
-                                 ("phi9", mazur_tate(phi9_symbol(), 3, n, 2))):
-                inv = invariants(theta)
-                expected = (1, 3**n - 2)
-                checks.append(TheoremCheck(
-                    f"(mu, lambda)(theta_{{{n},{label}}}) = (1, 3^{n} - 2) mod 9", 3, n,
-                    (inv.mu, inv.lam), expected, (inv.mu, inv.lam) == expected))
-    else:
-        raise ValueError(f"unknown theorem tag {which!r}; use B, C or D")
-    return checks

@@ -69,6 +69,17 @@ def test_primitive_root_examples():
     assert primitive_root(7, 1) == 3
 
 
+@pytest.mark.parametrize("build", [
+    lambda: primitive_root(9),
+    lambda: primitive_root(15),
+    lambda: ResidueRing(4, 1),
+    lambda: ResidueRing(9, 2),
+], ids=["primitive_root(9)", "primitive_root(15)", "ResidueRing(4, 1)", "ResidueRing(9, 2)"])
+def test_composite_p_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_primitive_root_generates():
     for p, n in ((3, 2), (5, 1), (7, 1), (11, 0)):
         g = primitive_root(p, n)

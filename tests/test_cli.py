@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from taumt.cli import main
+from taumt.cli import FAMILIES, FAMILY_FLAGS, main
 
 
 def run(capsys, *argv):
@@ -76,6 +76,15 @@ def test_mt_rejects_unsupported_prime():
     (["tau", "--n", "3", "--mod", "-7"], "--mod must be at least 1"),
     (["mt", "--source", "eis", "--p", "9", "--a", "2", "--n", "1"], "needs a prime --p"),
     (["mt", "--source", "phi9", "--p", "3", "--n", "1", "--m", "3"], "--m at most 2"),
+    # at --nmax 8 the D tower takes seconds, so a late check would show
+    (["verify", "D", "--p", "5", "--nmax", "8"], "supports --p in {3}"),
+    (["verify", "appendix", "--p", "5"], "does not take --p"),
+    (["verify", "serre", "--p", "7", "--nmax", "3", "--bound", "100"], "does not take --p"),
+    (["verify", "A", "--nmax", "9", "--bound", "50", "--p", "5"], "does not take --nmax"),
+    (["verify", "congmodsymb", "--nmax", "4", "--samples", "5"], "does not take --nmax"),
+    (["verify", "A", "--p", "5", "--p", "5", "--bound", "50"], "--p names the same prime twice"),
+    (["verify", "congmodsymb", "--samples", "-3"], "--samples must be at least 1"),
+    (["verify", "appendix", "--fixtures", "/nonexistent"], "is not a directory"),
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, argv, message):
     with pytest.raises(SystemExit) as err:
@@ -85,6 +94,22 @@ def test_bad_input_is_a_one_line_usage_error(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("taumt: error: ")
     assert message in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("family, flag", [
+    (family, flag) for family, (_, takes) in FAMILIES.items() for flag in FAMILY_FLAGS if flag not in takes
+])
+def test_verify_family_refuses_a_flag_it_does_not_take(capsys, monkeypatch, family, flag):
+    def must_not_run(args):
+        raise AssertionError(f"verify {family} ran despite --{flag}")
+
+    monkeypatch.setitem(FAMILIES, family, (must_not_run, FAMILIES[family][1]))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", family, f"--{flag}", "5"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"taumt: error: verify {family} does not take --{flag}"
 
 
 def test_mt_csv_format(capsys):
@@ -109,6 +134,24 @@ def test_verify_B_reports_lambda(capsys):
     assert code == 0
     records = json.loads(out)
     assert [r["computed"][1] for r in records] == [6, 48, 342]
+
+
+def test_theorem_B_closed_form(capsys):
+    code, out = run(capsys, "verify", "B", "--nmax", "2")
+    assert code == 0
+    assert all(r["pass"] for r in json.loads(out))
+
+
+def test_theorem_C_delta_route_and_transfer(capsys):
+    code, out = run(capsys, "verify", "C", "--nmax", "1")
+    assert code == 0
+    assert all(r["pass"] for r in json.loads(out))
+
+
+def test_theorem_D_both_routes(capsys):
+    code, out = run(capsys, "verify", "D", "--nmax", "2")
+    assert code == 0
+    assert all(r["pass"] for r in json.loads(out))
 
 
 def test_verify_congmodsymb_deterministic(capsys):

@@ -13,7 +13,6 @@ from taumt.iwasawa import (
     invariants,
     mazur_tate,
     to_T_basis,
-    verify_lambda_theorems,
 )
 from taumt.mansym import delta_symbol
 
@@ -134,21 +133,6 @@ def test_lambda_formula_on_synthetic_boundary_tables(rng):
         for n in (1, 2):
             inv = invariants(mazur_tate(sym, p, n, 1))
             assert (inv.mu, inv.lam) == (0, p ** n - 1)
-
-
-def test_theorem_B_closed_form():
-    for check in verify_lambda_theorems("B", 2):
-        assert check.passed, check
-
-
-def test_theorem_C_delta_route_and_transfer():
-    checks = verify_lambda_theorems("C", 1)
-    assert all(c.passed for c in checks), checks
-
-
-def test_theorem_D_both_routes():
-    checks = verify_lambda_theorems("D", 2)
-    assert all(c.passed for c in checks), checks
 
 
 def test_congruence_transfer_unit_is_stable_across_levels():
