@@ -27,6 +27,8 @@ from .mansym import alpha_N, delta_symbol
 from .qseries import admissible_sweep, tau_expansion, verify_serre_congruences, verify_tau_congruence
 
 CANONICAL_EXPONENT = {3: 2, 5: 2, 7: 4}
+# the largest Mazur-Tate level p^n accepted; every documented range fits
+MAX_LEVEL = 3**9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,6 +97,12 @@ def _eisenstein_symbol(p: int, exponent: int, m: int):
     """The boundary symbol of (omega_p^exponent, trivial) with values in Z/p^m."""
     psi = DirichletCharacter.teichmuller_power(p, exponent, m)
     return eisenstein_boundary_symbol(psi, DirichletCharacter.trivial())
+
+
+def _check_level(parser, p: int, n: int) -> None:
+    # p >= 3 makes p^10 > MAX_LEVEL, so capping n decides a huge --n at once
+    if p ** min(n, 10) > MAX_LEVEL:
+        parser.error(f"level {p}^{n} is above the largest supported level 3^9 = {MAX_LEVEL}")
 
 
 def _jsonable(x):
@@ -286,6 +294,8 @@ def cmd_verify(args, parser) -> int:
             parser.error("--p names the same prime twice")
         if not set(args.p) <= set(takes["p"]):
             parser.error(f"verify {args.theorem} supports --p in {set(takes['p'])}")
+        if args.nmax is not None:
+            _check_level(parser, max(args.p), args.nmax)
     if args.fixtures is not None:
         if not os.path.isdir(args.fixtures):
             parser.error(f"--fixtures {args.fixtures} is not a directory")
@@ -306,6 +316,7 @@ def cmd_mt(args, parser) -> int:
     p, n = args.p, args.n
     if p < 3 or p % 2 == 0 or n < 1:
         parser.error("need an odd prime --p and --n >= 1")
+    _check_level(parser, p, n)
     if args.m is not None and args.m < 1:
         parser.error("--m must be at least 1")
     if args.source == "delta":
@@ -363,15 +374,18 @@ def cmd_mt(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "tau":
-        if args.n < 1:
-            parser.error("--n must be at least 1")
-        if args.mod is not None and args.mod < 1:
-            parser.error("--mod must be at least 1")
-        return cmd_tau(args)
-    if args.command == "verify":
-        return cmd_verify(args, parser)
-    return cmd_mt(args, parser)
+    try:
+        if args.command == "tau":
+            if args.n < 1:
+                parser.error("--n must be at least 1")
+            if args.mod is not None and args.mod < 1:
+                parser.error("--mod must be at least 1")
+            return cmd_tau(args)
+        if args.command == "verify":
+            return cmd_verify(args, parser)
+        return cmd_mt(args, parser)
+    except FileNotFoundError as exc:
+        parser.error(f"no such file or directory: {exc.filename}")
 
 
 def console_entry() -> None:

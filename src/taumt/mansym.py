@@ -6,10 +6,11 @@ k-2 homogeneous polynomial in X, Y subject to the two Manin relations
     x + x|S = 0,      x + x|U + x|U^2 = 0,
 
 with S = [[0,-1],[1,0]], U = [[0,-1],[1,-1]] and the right action
-(P|g)(X, Y) = P(dX - cY, -bX + aY).  Values on arbitrary degree-0
-divisors follow by decomposing paths into unimodular steps through
-continued-fraction convergents.  Polynomials are coefficient tuples,
-coeffs[i] multiplying X^i Y^(deg-i), over exact ints or Fractions.
+(P|g)(X, Y) = P(dX - cY, -bX + aY), computed by `act` through direct
+substitution.  Values on arbitrary degree-0 divisors follow by
+decomposing paths into unimodular steps through continued-fraction
+convergents.  Polynomials are coefficient tuples, coeffs[i] multiplying
+X^i Y^(deg-i), over exact ints or Fractions.
 
 Hecke operators act through Merel's matrices {det = l, a > b >= 0,
 d > c >= 0}: T_l x = sum over the set of x|adj(h), the adjugate standing
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
 from .arith import _prime_factors
 from .cusps import Cusp, Divisor
@@ -51,36 +51,30 @@ def adjugate(g):
     return (d, -b, -c, a)
 
 
+def act(coeffs: tuple, g) -> tuple:
+    """P|g = P(dX - cY, -bX + aY) for P given by its coefficient tuple.
+
+    Homogeneous Horner: after j steps `out` is sum_i coeffs[deg-j+i]
+    L1^i L2^(j-i) with L1 = dX - cY, L2 = -bX + aY, and `power` is L2^j.
+    Any integer matrix works, not only those of determinant 1.
+    """
+    a, b, c, d = g
+    out, power = [coeffs[-1]], [1]
+    for x in reversed(coeffs[:-1]):
+        power = [a * t - b * s for s, t in zip([0, *power], [*power, 0])]
+        out = [d * s - c * t + x * q for s, t, q in zip([0, *out], [*out, 0], power)]
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def action_matrix(g: tuple[int, int, int, int], degree: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of P -> P|g on the monomial basis X^i Y^(degree-i)."""
-    a, b, c, d = g
-    cols = []
-    for i in range(degree + 1):
-        p1 = [comb(i, u) * d**u * (-c) ** (i - u) for u in range(i + 1)]
-        p2 = [comb(degree - i, v) * (-b) ** v * a ** (degree - i - v) for v in range(degree - i + 1)]
-        col = [0] * (degree + 1)
-        for u, x in enumerate(p1):
-            for v, y in enumerate(p2):
-                col[u + v] += x * y
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(degree + 1)) for i in range(degree + 1))
+    """Matrix of P -> P|g on the monomial basis X^i Y^(degree-i).
 
-
-def _apply(matrix, vec):
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in matrix)
-
-
-def _mat_sum(mats):
-    out = None
-    for m in mats:
-        if out is None:
-            out = [list(row) for row in m]
-        else:
-            for i, row in enumerate(m):
-                for j, x in enumerate(row):
-                    out[i][j] += x
-    return tuple(tuple(row) for row in out)
+    Column j is act(e_j, g).  Only manin_space needs the matrix, for the
+    rows of its nullspace, so the cache holds S, U and U^2 per weight.
+    """
+    basis = [tuple(int(i == j) for i in range(degree + 1)) for j in range(degree + 1)]
+    return tuple(zip(*(act(e, g) for e in basis)))
 
 
 @dataclass(frozen=True)
@@ -99,13 +93,12 @@ class ManinSymbol:
         return self.weight - 2
 
     def act(self, g) -> tuple:
-        return _apply(action_matrix(g, self.degree), self.coeffs)
+        return act(self.coeffs, g)
 
     def relations_hold(self) -> bool:
-        deg = self.degree
         s_img = self.act(S)
         u_img = self.act(U)
-        uu_img = _apply(action_matrix(mat_mul(U, U), deg), self.coeffs)
+        uu_img = self.act(mat_mul(U, U))
         two = all(x + y == 0 for x, y in zip(self.coeffs, s_img))
         three = all(x + y + z == 0 for x, y, z in zip(self.coeffs, u_img, uu_img))
         return two and three
@@ -150,17 +143,15 @@ def manin_space(k: int) -> list[ManinSymbol]:
 
 
 def _combo_basis(symbols: list[ManinSymbol], operator, shift=0) -> list[ManinSymbol]:
-    """Kernel of (operator + shift) restricted to the span of symbols."""
+    """Kernel of (operator + shift) restricted to the span of symbols.
+
+    The operator maps a coefficient tuple to the tuple of its image.
+    """
     if not symbols:
         return []
     deg = symbols[0].degree
-    rows = []
-    for i in range(deg + 1):
-        row = []
-        for sym in symbols:
-            img = _apply(operator, sym.coeffs)
-            row.append(img[i] + shift * sym.coeffs[i])
-        rows.append(row)
+    images = [operator(sym.coeffs) for sym in symbols]
+    rows = [[img[i] + shift * sym.coeffs[i] for sym, img in zip(symbols, images)] for i in range(deg + 1)]
     combos = linalg.nullspace(rows)
     out = []
     for combo in combos:
@@ -172,12 +163,7 @@ def _combo_basis(symbols: list[ManinSymbol], operator, shift=0) -> list[ManinSym
 
 def plus_subspace(symbols: list[ManinSymbol]) -> list[ManinSymbol]:
     """The +1 eigenspace of the involution x -> x|iota, iota = diag(-1, 1)."""
-    if not symbols:
-        return []
-    deg = symbols[0].degree
-    iota = action_matrix(IOTA, deg)
-    minus_id = tuple(tuple(m - (1 if i == j else 0) for j, m in enumerate(row)) for i, row in enumerate(iota))
-    return _combo_basis(symbols, minus_id)
+    return _combo_basis(symbols, lambda v: act(v, IOTA), shift=-1)
 
 
 @lru_cache(maxsize=None)
@@ -199,14 +185,14 @@ def merel_matrices(n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _hecke_matrix(ell: int, degree: int):
-    return _mat_sum(action_matrix(adjugate(h), degree) for h in merel_matrices(ell))
+def _hecke(ell: int, coeffs: tuple) -> tuple:
+    """T_ell on a coefficient tuple: the sum of P|adj(h) over Merel's set."""
+    return tuple(map(sum, zip(*(act(coeffs, adjugate(h)) for h in merel_matrices(ell)))))
 
 
 def hecke_T(ell: int, sym: ManinSymbol) -> ManinSymbol:
     """Image of the symbol under the Hecke operator T_ell."""
-    image = ManinSymbol(sym.weight, _apply(_hecke_matrix(ell, sym.degree), sym.coeffs))
+    image = ManinSymbol(sym.weight, _hecke(ell, sym.coeffs))
     if not image.relations_hold():
         raise RuntimeError(f"T_{ell} image broke the Manin relations; Merel set is corrupt")
     return image
@@ -221,8 +207,7 @@ def delta_symbol() -> ManinSymbol:
     up to a unit of that ring.
     """
     plus = plus_subspace(manin_space(12))
-    t2 = _hecke_matrix(2, 10)
-    eigen = _combo_basis(plus, t2, shift=24)
+    eigen = _combo_basis(plus, lambda v: _hecke(2, v), shift=24)
     if len(eigen) != 1:
         raise RuntimeError(f"T_2 = -24 eigenspace has dimension {len(eigen)}, expected 1")
     sym = eigen[0]
@@ -281,7 +266,7 @@ def eval_symbol(sym: ManinSymbol, D: Divisor) -> tuple:
     total = [0] * (deg + 1)
     for cusp, mult in D.items():
         for g in unimodular_path(cusp):
-            img = _apply(action_matrix(sl2_inverse(g), deg), sym.coeffs)
+            img = act(sym.coeffs, sl2_inverse(g))
             for i in range(deg + 1):
                 total[i] -= mult * img[i]
     return tuple(total)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from taumt import fixtures
+from taumt.boundary import phi9_symbol
 from taumt.cli import FAMILIES, FAMILY_FLAGS, main
 
 
@@ -85,8 +87,31 @@ def test_mt_rejects_unsupported_prime():
     (["verify", "A", "--p", "5", "--p", "5", "--bound", "50"], "--p names the same prime twice"),
     (["verify", "congmodsymb", "--samples", "-3"], "--samples must be at least 1"),
     (["verify", "appendix", "--fixtures", "/nonexistent"], "is not a directory"),
+    # a leading NAME=value sets that variable; {tmp} is an empty directory
+    (["verify", "appendix", "--fixtures", "{tmp}"], "appendix_table1.csv"),
+    (["TAUMT_FIXTURES=/nonexistent", "verify", "serre", "--bound", "50"],
+     "no such file or directory: /nonexistent/serre_congruences.csv"),
+    (["TAUMT_FIXTURES=/nonexistent", "mt", "--source", "phi9", "--p", "3", "--n", "1"],
+     "no such file or directory: /nonexistent/phi9_orbits.csv"),
+    (["tau", "--n", "5", "--out", "/nonexistent/x.txt"], "no such file or directory: /nonexistent/x.txt"),
+    (["mt", "--source", "eis", "--p", "7", "--n", "12"], "level 7^12 is above"),
+    (["mt", "--source", "eis", "--p", "7", "--n", "7"], "level 7^7 is above"),
+    (["mt", "--source", "delta", "--p", "3", "--n", str(10**12)], "is above the largest supported level"),
+    (["verify", "B", "--nmax", "6"], "level 7^6 is above"),
+    (["verify", "C", "--p", "5", "--nmax", "7"], "level 5^7 is above"),
+    (["verify", "D", "--nmax", "10"], "level 3^10 is above"),
 ])
-def test_bad_input_is_a_one_line_usage_error(capsys, argv, message):
+def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, tmp_path, argv, message):
+    # cmd_verify exports --fixtures; setting the variable here lets
+    # monkeypatch restore it afterwards (an empty value means unset)
+    monkeypatch.setenv(fixtures.ENV_VAR, "")
+    # the cached phi9 table would hide a missing fixture file
+    monkeypatch.setattr("taumt.cli.phi9_symbol", phi9_symbol.__wrapped__)
+    while "=" in argv[0]:
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
+    argv = [str(tmp_path) if a == "{tmp}" else a for a in argv]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -110,6 +135,17 @@ def test_verify_family_refuses_a_flag_it_does_not_take(capsys, monkeypatch, fami
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == f"taumt: error: verify {family} does not take --{flag}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "B", "--p", "5", "--nmax", "6"],
+    ["verify", "C", "--p", "7", "--nmax", "5"],
+    ["verify", "D", "--nmax", "9"],
+])
+def test_levels_up_to_the_bound_are_accepted(capsys, monkeypatch, argv):
+    family = argv[1]
+    monkeypatch.setitem(FAMILIES, family, (lambda args: ([], None), FAMILIES[family][1]))
+    assert main(argv) == 0
 
 
 def test_mt_csv_format(capsys):

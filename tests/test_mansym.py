@@ -1,17 +1,23 @@
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
 from conftest import random_divisor0, random_gamma1, random_sl2
 
 from taumt import fixtures
+from taumt.arith import bernoulli
 from taumt.cusps import Cusp, Divisor, INFINITY_CUSP, ZERO_CUSP
 from taumt.iwasawa import fit_global_unit
 from taumt.mansym import (
     IOTA,
     ManinSymbol,
     S,
+    _combo_basis,
+    _hecke,
+    act,
     action_matrix,
+    adjugate,
     alpha_N,
     convergents,
     delta_symbol,
@@ -28,8 +34,24 @@ from taumt.mansym import (
 )
 
 
-def act(sym, g):
-    return ManinSymbol(sym.weight, sym.act(g))
+def reference_action_matrix(g, degree):
+    """The binomial expansion of P -> P|g, the former action_matrix body,
+    kept as the independent side that act is compared against."""
+    a, b, c, d = g
+    cols = []
+    for i in range(degree + 1):
+        p1 = [comb(i, u) * d**u * (-c) ** (i - u) for u in range(i + 1)]
+        p2 = [comb(degree - i, v) * (-b) ** v * a ** (degree - i - v) for v in range(degree - i + 1)]
+        col = [0] * (degree + 1)
+        for u, x in enumerate(p1):
+            for v, y in enumerate(p2):
+                col[u + v] += x * y
+        cols.append(col)
+    return tuple(tuple(cols[j][i] for j in range(degree + 1)) for i in range(degree + 1))
+
+
+def apply_matrix(matrix, vec):
+    return tuple(sum(m * x for m, x in zip(row, vec)) for row in matrix)
 
 
 def test_space_dimensions():
@@ -48,12 +70,12 @@ def test_relations_hold_for_basis():
 
 def test_involution_squares_to_identity():
     for sym in manin_space(12):
-        assert act(act(sym, IOTA), IOTA).coeffs == sym.coeffs
+        assert act(act(sym.coeffs, IOTA), IOTA) == sym.coeffs
 
 
 def test_plus_projection_fixes_plus_vectors():
     for sym in plus_subspace(manin_space(12)):
-        assert act(sym, IOTA).coeffs == sym.coeffs
+        assert act(sym.coeffs, IOTA) == sym.coeffs
 
 
 def test_merel_t2_set_is_the_classical_one():
@@ -159,10 +181,7 @@ def test_sl2_invariance(rng):
     for _ in range(150):
         D = random_divisor0(rng, max_den=25)
         g = random_sl2(rng, size=12)
-        transported = action_matrix(g, 10)
-        lhs = eval_symbol(d, D.apply(g))
-        lhs = tuple(sum(transported[i][j] * lhs[j] for j in range(11)) for i in range(11))
-        assert lhs == eval_symbol(d, D)
+        assert act(eval_symbol(d, D.apply(g)), g) == eval_symbol(d, D)
 
 
 def test_eval_at_zero_one_matches_full_transport(rng):
@@ -257,18 +276,77 @@ def test_hecke_consistency_guard():
 
 
 def test_action_is_right_action(rng):
+    for degree in (10, 24):
+        for _ in range(50):
+            g = random_sl2(rng, size=6)
+            h = random_sl2(rng, size=6)
+            vec = tuple(rng.randrange(-50, 51) for _ in range(degree + 1))
+            assert act(act(vec, g), h) == act(vec, mat_mul(g, h))
+
+
+def test_act_matches_reference_at_every_degree(rng):
+    for degree in range(25):
+        for _ in range(4):
+            g = random_sl2(rng, size=10**6)
+            vec = tuple(rng.randrange(-10**6, 10**6 + 1) for _ in range(degree + 1))
+            assert act(vec, g) == apply_matrix(reference_action_matrix(g, degree), vec)
+        g = random_sl2(rng, size=30)
+        assert action_matrix.__wrapped__(g, degree) == reference_action_matrix(g, degree)
+
+
+def test_act_matches_reference_on_merel_adjugates(rng):
+    for ell in range(2, 14):
+        for h in merel_matrices(ell):
+            g = adjugate(h)
+            for degree in (0, 1, 10, 24):
+                vec = tuple(rng.randrange(-100, 101) for _ in range(degree + 1))
+                assert act(vec, g) == apply_matrix(reference_action_matrix(g, degree), vec)
+
+
+def test_act_matches_reference_on_fractions(rng):
+    for degree in (0, 3, 10, 24):
+        for _ in range(5):
+            g = random_sl2(rng, size=1000)
+            vec = tuple(Fraction(rng.randrange(-99, 100), rng.randrange(1, 100)) for _ in range(degree + 1))
+            assert act(vec, g) == apply_matrix(reference_action_matrix(g, degree), vec)
+
+
+def test_action_matrix_cache_holds_only_the_manin_matrices(rng):
+    action_matrix.cache_clear()
+    d = delta_symbol.__wrapped__()
     for _ in range(50):
-        g = random_sl2(rng, size=6)
-        h = random_sl2(rng, size=6)
-        gh = mat_mul(g, h)
-        m_g = action_matrix(g, 10)
-        m_h = action_matrix(h, 10)
-        m_gh = action_matrix(gh, 10)
-        composed = tuple(
-            tuple(sum(m_h[i][k] * m_g[k][j] for k in range(11)) for j in range(11))
-            for i in range(11)
-        )
-        assert composed == m_gh
+        eval_symbol(d, random_divisor0(rng, max_den=10**6))
+    assert action_matrix.cache_info().currsize <= 3
+
+
+def test_delta_symbol_is_minus_691_times_the_even_period_polynomial():
+    # -691 r+_Delta, r+_Delta = (36/691)(X^10 - Y^10) - X^2 Y^2 (X^2 - Y^2)^3
+    # (Kohnen-Zagier); coefficient i multiplies X^i Y^(10-i)
+    assert delta_symbol().coeffs == (36, 0, -691, 0, 2073, 0, -2073, 0, 691, 0, -36)
+
+
+# (k, a_2, c) for the weights with dim S_k = 1: the T_2 eigenvalue of the
+# cusp form and the end coefficient of its primitive plus symbol
+PLUS_EIGENSYMBOLS = [
+    (12, -24, 36), (16, 216, 360), (18, -528, 18000),
+    (20, 456, 26460), (22, -288, 126000), (26, -48, 34398000),
+]
+
+
+@pytest.mark.parametrize("k, a2, c", PLUS_EIGENSYMBOLS)
+def test_plus_eigensymbol_inner_gcd_is_the_bernoulli_numerator(k, a2, c):
+    # mod num(B_k/2k) the cusp symbol is c (X^(k-2) - Y^(k-2)) up to sign,
+    # the period polynomial of E_k: Ramanujan's 691 and its siblings
+    plus = plus_subspace(manin_space(k))
+    eigen = _combo_basis(plus, lambda v: _hecke(2, v), shift=-a2)
+    assert len(eigen) == 1
+    coeffs = eigen[0].coeffs
+    assert coeffs[0] == -coeffs[-1] == c
+    inner = 0
+    for x in coeffs[1:-1]:
+        inner = gcd(inner, x)
+    assert inner == abs((bernoulli(k) / (2 * k)).numerator)
+    assert _combo_basis(plus, lambda v: _hecke(2, v), shift=-a2 - 2) == []
 
 
 def test_sl2_inverse():
