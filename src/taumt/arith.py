@@ -58,46 +58,38 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_primitive_root(g: int, p: int, n: int = 0) -> bool:
+    """Whether g generates (Z/p^(n+1)Z)^x, for an odd prime p."""
+    order = (p - 1) * p**n
+    return g % p != 0 and all(pow(g, order // q, p ** (n + 1)) != 1 for q in _prime_factors(order))
+
+
 @lru_cache(maxsize=None)
 def primitive_root(p: int, n: int = 0) -> int:
     """Smallest positive generator of (Z/p^(n+1)Z)^x for an odd prime p."""
     if p == 2 or _prime_factors(p) != [p]:
         raise ValueError(f"p must be an odd prime, got {p}")
-    modulus = p ** (n + 1)
-    order = (p - 1) * p**n
-    factors = _prime_factors(order)
     g = 2
-    while True:
-        if g % p and all(pow(g, order // q, modulus) != 1 for q in factors):
-            return g
+    while not is_primitive_root(g, p, n):
         g += 1
-
-
-@lru_cache(maxsize=None)
-def _dlog_table(g: int, modulus: int) -> dict[int, int]:
-    table = {}
-    cur = 1 % modulus
-    e = 0
-    while cur not in table:
-        table[cur] = e
-        cur = cur * g % modulus
-        e += 1
-    return table
+    return g
 
 
 def discrete_log(a: int, g: int, modulus: int) -> int:
     """The exponent e in [0, ord(g)) with g^e = a mod modulus.
 
-    The full power table of g is built once per (g, modulus) and cached;
-    the moduli in this package are at most a few thousand.
+    Walks the powers of g; the moduli in this package are at most a few
+    thousand, and no hot path calls this.
     """
     if gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not a unit mod {modulus}")
-    table = _dlog_table(g, modulus)
-    try:
-        return table[a % modulus]
-    except KeyError:
-        raise ValueError(f"{g} does not generate {a} mod {modulus}") from None
+    a %= modulus
+    cur = 1 % modulus
+    for e in range(modulus):
+        if cur == a:
+            return e
+        cur = cur * g % modulus
+    raise ValueError(f"{g} does not generate {a} mod {modulus}")
 
 
 def teichmuller(a: int, p: int, m: int = 1) -> int:
@@ -141,13 +133,6 @@ class ResidueRing:
 
     def inverse(self, x: int) -> int:
         return pow(x, -1, self.n)
-
-    def units(self) -> list[int]:
-        return [x for x in range(1, self.n) if x % self.p]
-
-    def ord(self, x: int) -> int:
-        """Truncated valuation of x inside the ring (m when x = 0)."""
-        return ord_p_truncated(x, self.p, self.m)
 
     def teichmuller(self, a: int) -> int:
         return teichmuller(a, self.p, self.m)

@@ -8,7 +8,6 @@ fixture table.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from .arith import DirichletCharacter, ResidueRing
@@ -109,10 +108,14 @@ def eisenstein_boundary_symbol(
     return BoundarySymbol(M, ring, reps, values, label)
 
 
-@lru_cache(maxsize=None)
-def phi9_symbol() -> BoundarySymbol:
-    """The explicit Z/9-valued boundary symbol of level 27, from its orbit table."""
-    rows = fixtures.load_orbit_table("phi9_orbits.csv")
+@fixtures.cached_per_directory
+def phi9_symbol(directory=None) -> BoundarySymbol:
+    """The explicit Z/9-valued boundary symbol of level 27, from its orbit table.
+
+    The table is read from the fixture directory (see fixtures.resolve),
+    once per directory.
+    """
+    rows = fixtures.load_orbit_table("phi9_orbits.csv", directory)
     reps = [Cusp.parse(r) for r, _ in rows]
     if len(reps) != cusp_count(27):
         raise ValueError(f"phi9 orbit table lists {len(reps)} of the {cusp_count(27)} classes")

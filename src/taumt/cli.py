@@ -136,7 +136,7 @@ def _verify_A(args) -> tuple[list[dict], None]:
 
 def _verify_serre(args) -> tuple[list[dict], None]:
     records = []
-    for modulus, e1, e2 in fixtures.load_serre_congruences():
+    for modulus, e1, e2 in fixtures.load_serre_congruences(args.fixtures):
         rep = verify_serre_congruences(args.bound, congruences=[(modulus, e1, e2)])[0]
         claim = f"tau(l) = l^{e1} + l^{e2} mod {modulus} for primes l <= {args.bound}"
         records.append(_record(claim, "holds" if rep.ok else rep.first_failure, "holds", rep.ok))
@@ -158,7 +158,7 @@ def _verify_congmodsymb(args) -> tuple[list[dict], None]:
     records = []
     rng = random.Random(args.seed)
     for p in args.p:
-        table = fixtures.load_divisor_values(f"s{p}_values.csv")
+        table = fixtures.load_divisor_values(f"s{p}_values.csv", args.fixtures)
         alpha = alpha_N(delta_symbol(), p, normalize=True)
         ours = [alpha.pair(Cusp.parse(r), Cusp.parse(s)) for r, s, _ in table]
         printed = [v for _, _, v in table]
@@ -185,9 +185,9 @@ def _verify_congmodsymb(args) -> tuple[list[dict], None]:
 
 
 def _verify_appendix(args) -> tuple[list[dict], str]:
-    rows = fixtures.load_table1()
+    rows = fixtures.load_table1(args.fixtures)
     alpha = alpha_N(delta_symbol(), 9, normalize=True)
-    phi9 = phi9_symbol()
+    phi9 = phi9_symbol(args.fixtures)
     ours_alpha = []
     ours_phi = []
     for r, s, _, _ in rows:
@@ -255,7 +255,7 @@ def _verify_D(args) -> tuple[list[dict], None]:
     """p = 3 at precision 9 by both routes: mu = 1 and lambda = 3^n - 2."""
     records = []
     for n in range(1, args.nmax + 1):
-        for label, source in (("Delta", delta_symbol()), ("phi9", phi9_symbol())):
+        for label, source in (("Delta", delta_symbol()), ("phi9", phi9_symbol(args.fixtures))):
             records.append(_invariants_record(
                 f"(mu, lambda)(theta_{{{n},{label}}}) = (1, 3^{n} - 2) mod 9",
                 mazur_tate(source, 3, n, 2), (1, 3**n - 2)))
@@ -296,10 +296,8 @@ def cmd_verify(args, parser) -> int:
             parser.error(f"verify {args.theorem} supports --p in {set(takes['p'])}")
         if args.nmax is not None:
             _check_level(parser, max(args.p), args.nmax)
-    if args.fixtures is not None:
-        if not os.path.isdir(args.fixtures):
-            parser.error(f"--fixtures {args.fixtures} is not a directory")
-        os.environ[fixtures.ENV_VAR] = args.fixtures
+    if args.fixtures is not None and not os.path.isdir(args.fixtures):
+        parser.error(f"--fixtures {args.fixtures} is not a directory")
     records, table_csv = run(args)
     if args.format == "csv" and table_csv is not None:
         _emit(table_csv, args.out)
@@ -374,6 +372,9 @@ def cmd_mt(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every subcommand takes --out; a missing directory fails before any work
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"no such file or directory: {args.out}")
     try:
         if args.command == "tau":
             if args.n < 1:

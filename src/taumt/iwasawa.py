@@ -4,8 +4,8 @@ G_n here is the Galois group of the degree-p^n subfield of the p^(n+1)
 cyclotomic field, cyclic of order p^n.  A symbol's element of level n sums
 its values on {oo} - {a/p^(n+1)} against the image of sigma_a, with a
 running over the units mod p^(n+1); the projection sends sigma_a to
-gamma^(dlog(a) mod p^n) for a fixed primitive root gamma, which is the
-restriction map of Galois automorphisms in coordinates.
+gamma^(e mod p^n), where a = g^e for a fixed primitive root g, which is
+the restriction map of Galois automorphisms in coordinates.
 
 Writing gamma = 1 + T identifies the group ring with Z/p^m[T]/((1+T)^(p^n)-1);
 mu is the minimal valuation among T-coefficients and lambda the first index
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import INFINITY, discrete_log, ord_p_truncated, primitive_root
+from .arith import INFINITY, is_primitive_root, ord_p_truncated, primitive_root
 from .boundary import BoundarySymbol
 from .cusps import Cusp, INFINITY_CUSP
 from .mansym import ManinSymbol, WeightZeroSymbol, alpha_N
@@ -81,58 +81,44 @@ def _values_at_level(source, p: int, n: int, m: int):
 def mazur_tate(source, p: int, n: int, m: int, generator: int | None = None) -> GroupRingElt:
     """Level-n Mazur-Tate element of a boundary symbol or a Manin symbol.
 
-    coeffs[i] collects the values over the units a mod p^(n+1) whose
-    discrete log falls in the class i mod p^n.
+    Walks the units a = g^e mod p^(n+1) in the order of their exponent e,
+    so coeffs[e mod p^n] collects the value at g^e.
     """
     if n < 1 or m < 1:
         raise ValueError("level and precision must be at least 1")
+    g = primitive_root(p, n) if generator is None else generator
+    if not is_primitive_root(g, p, n):
+        raise ValueError(f"{g} does not generate the units mod {p}^{n + 1}")
     value_at = _values_at_level(source, p, n, m)
     modulus = p ** (n + 1)
-    g = primitive_root(p, n) if generator is None else generator
     pn = p**n
     pm = p**m
     coeffs = [0] * pn
-    for a in range(1, modulus):
-        if a % p == 0:
-            continue
-        i = discrete_log(a, g, modulus) % pn
+    a = 1
+    for e in range((p - 1) * pn):
+        i = e % pn
         coeffs[i] = (coeffs[i] + value_at(a)) % pm
+        a = a * g % modulus
     return GroupRingElt(p, n, m, tuple(coeffs), g)
 
 
-def to_T_basis(F: GroupRingElt) -> TPoly:
-    """Expand sum c_j gamma^j as a polynomial in T = gamma - 1.
+def _taylor_shift(coeffs: tuple[int, ...], s: int, pm: int) -> tuple[int, ...]:
+    """Coefficients of sum c_j (X + s)^j mod pm, by Horner's rule."""
+    out: list[int] = []
+    for c in reversed(coeffs):
+        out = [(s * hi + lo) % pm for hi, lo in zip(out + [0], [c] + out)]
+    return tuple(out)
 
-    gamma^j = (1 + T)^j gives a_i = sum_j c_j C(j, i), accumulated through
-    one pass of Pascal's triangle mod p^m.
-    """
-    pm = F.p**F.m
-    length = len(F.coeffs)
-    out = [0] * length
-    row = [1]
-    for j, cj in enumerate(F.coeffs):
-        if cj:
-            for i, binom in enumerate(row):
-                out[i] = (out[i] + cj * binom) % pm
-        if j + 1 < length:
-            row = [1] + [(row[t] + row[t + 1]) % pm for t in range(j)] + [1]
-    return TPoly(F.p, F.n, F.m, tuple(out))
+
+def to_T_basis(F: GroupRingElt) -> TPoly:
+    """Expand sum c_j gamma^j as a polynomial in T: gamma = T + 1."""
+    return TPoly(F.p, F.n, F.m, _taylor_shift(F.coeffs, 1, F.p**F.m))
 
 
 def from_T_basis(F: TPoly, generator: int | None = None) -> GroupRingElt:
-    """Inverse transform: T^i = (gamma - 1)^i expanded in the group basis."""
-    pm = F.p**F.m
-    length = len(F.coeffs)
-    out = [0] * length
-    row = [1]  # signed binomials of (gamma - 1)^i: C(i, j) (-1)^(i - j)
-    for i, ai in enumerate(F.coeffs):
-        if ai:
-            for j, binom in enumerate(row):
-                out[j] = (out[j] + ai * binom * (-1) ** (i - j)) % pm
-        if i + 1 < length:
-            row = [1] + [(row[t] + row[t + 1]) % pm for t in range(i)] + [1]
+    """Inverse transform: T = gamma - 1, expanded in the group basis."""
     g = primitive_root(F.p, F.n) if generator is None else generator
-    return GroupRingElt(F.p, F.n, F.m, tuple(out), g)
+    return GroupRingElt(F.p, F.n, F.m, _taylor_shift(F.coeffs, -1, F.p**F.m), g)
 
 
 def invariants(F: TPoly | GroupRingElt) -> IwasawaInvariants:

@@ -53,23 +53,6 @@ def nullspace(rows: list[list[int]] | list[list[Fraction]]) -> list[list[Fractio
     return basis
 
 
-def solve_in_span(columns: list[list[Fraction]] | list[list[int]], target) -> list[Fraction] | None:
-    """Coordinates of target in the span of the given column vectors, or None."""
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(nrows)]
-    m, pivots = _rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][ncols]
-    for i in range(nrows):
-        if sum(Fraction(columns[j][i]) * sol[j] for j in range(ncols)) != Fraction(target[i]):
-            return None
-    return sol
-
-
 def primitive_integer_vector(vec) -> list[int]:
     """Scale a rational vector to a primitive integer vector.
 

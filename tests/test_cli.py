@@ -1,4 +1,6 @@
 import json
+import os
+import shutil
 
 import pytest
 
@@ -119,6 +121,41 @@ def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, tmp_path, argv
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("taumt: error: ")
     assert message in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, stub", [
+    (["tau", "--n", "20000"], "taumt.cli.tau_expansion"),
+    (["mt", "--source", "eis", "--p", "5", "--n", "1"], "taumt.cli.mazur_tate"),
+    (["verify", "B", "--nmax", "1"], "taumt.cli.mazur_tate"),
+], ids=["tau", "mt", "verify"])
+def test_missing_out_directory_fails_before_any_work(capsys, monkeypatch, argv, stub):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{argv[0]} computed before checking --out")
+
+    monkeypatch.setattr(stub, must_not_run)
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", "/nonexistent/x.txt"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "taumt: error: no such file or directory: /nonexistent/x.txt"
+
+
+@pytest.mark.parametrize("override_first", [False, True], ids=["plain-first", "override-first"])
+def test_fixture_override_holds_for_its_own_call_only(capsys, tmp_path, override_first):
+    # a directory whose phi9 table differs from the packaged one in one value
+    for name in ("appendix_table1.csv", "phi9_orbits.csv"):
+        shutil.copy(fixtures.PACKAGED / name, tmp_path / name)
+    table = tmp_path / "phi9_orbits.csv"
+    text = table.read_text(encoding="utf-8")
+    assert "\n0,1\n" in text
+    table.write_text(text.replace("\n0,1\n", "\n0,2\n"), encoding="utf-8")
+    environ = dict(os.environ)
+    runs = [(["verify", "appendix"], 0), (["verify", "appendix", "--fixtures", str(tmp_path)], 1)]
+    for argv, code in reversed(runs) if override_first else runs:
+        assert main(argv) == code, argv
+    capsys.readouterr()
+    assert dict(os.environ) == environ
 
 
 @pytest.mark.parametrize("family, flag", [

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -63,6 +64,73 @@ def test_T_basis_round_trip():
         coeffs = tuple(rng.randrange(pm) for _ in range(pn))
         F = GroupRingElt(p, n, m, coeffs, primitive_root(p, n))
         assert from_T_basis(to_T_basis(F)).coeffs == coeffs
+
+
+def reference_to_T_basis(F: GroupRingElt) -> TPoly:
+    """Expand sum c_j gamma^j as a polynomial in T = gamma - 1.
+
+    gamma^j = (1 + T)^j gives a_i = sum_j c_j C(j, i), accumulated through
+    one pass of Pascal's triangle mod p^m.
+    """
+    pm = F.p**F.m
+    length = len(F.coeffs)
+    out = [0] * length
+    row = [1]
+    for j, cj in enumerate(F.coeffs):
+        if cj:
+            for i, binom in enumerate(row):
+                out[i] = (out[i] + cj * binom) % pm
+        if j + 1 < length:
+            row = [1] + [(row[t] + row[t + 1]) % pm for t in range(j)] + [1]
+    return TPoly(F.p, F.n, F.m, tuple(out))
+
+
+def reference_from_T_basis(F: TPoly, generator: int | None = None) -> GroupRingElt:
+    """Inverse transform: T^i = (gamma - 1)^i expanded in the group basis."""
+    pm = F.p**F.m
+    length = len(F.coeffs)
+    out = [0] * length
+    row = [1]  # signed binomials of (gamma - 1)^i: C(i, j) (-1)^(i - j)
+    for i, ai in enumerate(F.coeffs):
+        if ai:
+            for j, binom in enumerate(row):
+                out[j] = (out[j] + ai * binom * (-1) ** (i - j)) % pm
+        if i + 1 < length:
+            row = [1] + [(row[t] + row[t + 1]) % pm for t in range(i)] + [1]
+    g = primitive_root(F.p, F.n) if generator is None else generator
+    return GroupRingElt(F.p, F.n, F.m, tuple(out), g)
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 7, 1), (5, 4, 3), (7, 3, 2)])
+def test_taylor_shift_matches_the_pascal_reference(p, n, m):
+    rng = random.Random(p * 100 + n * 10 + m)
+    pm, pn = p**m, p**n
+    F = GroupRingElt(p, n, m, tuple(rng.randrange(pm) for _ in range(pn)), primitive_root(p, n))
+    assert to_T_basis(F) == reference_to_T_basis(F)
+    T = TPoly(p, n, m, tuple(rng.randrange(pm) for _ in range(pn)))
+    assert from_T_basis(T) == reference_from_T_basis(T)
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 5, 2), (5, 3, 2), (7, 2, 3), (3, 7, 1)])
+def test_norm_element_has_binomial_T_coefficients(p, n, m):
+    # N = sum gamma^i = ((1 + T)^(p^n) - 1) / T, so its T^i coefficient is C(p^n, i + 1)
+    pn = p**n
+    N = GroupRingElt(p, n, m, (1,) * pn, primitive_root(p, n))
+    assert to_T_basis(N).coeffs == tuple(comb(pn, i + 1) % p**m for i in range(pn))
+
+
+@pytest.mark.parametrize("g", [3, 4, 10])
+def test_mazur_tate_rejects_a_non_generator(monkeypatch, g):
+    with pytest.raises(ValueError):
+        mazur_tate(phi9_symbol(), 3, 2, 2, generator=g)
+
+    # and before any symbol value is computed
+    def must_not_evaluate(*args):
+        raise AssertionError("evaluated the symbol")
+
+    monkeypatch.setattr("taumt.iwasawa._values_at_level", must_not_evaluate)
+    with pytest.raises(ValueError):
+        mazur_tate(phi9_symbol(), 3, 2, 2, generator=g)
 
 
 def test_invariants_examples():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from taumt.linalg import content, nullspace, primitive_integer_vector, solve_in_span
+from taumt.linalg import content, nullspace, primitive_integer_vector
 
 
 def test_nullspace_of_simple_matrix():
@@ -29,14 +29,6 @@ def test_nullspace_dimension_random():
         # rank-nullity
         rank = 6 - len(basis)
         assert 0 <= rank <= 3
-
-
-def test_solve_in_span():
-    cols = [[1, 0, 2], [0, 1, 1]]
-    target = [3, 4, 10]
-    sol = solve_in_span(cols, target)
-    assert sol == [Fraction(3), Fraction(4)]
-    assert solve_in_span(cols, [1, 0, 0]) is None
 
 
 def test_primitive_integer_vector():
