@@ -29,6 +29,8 @@ from .qseries import admissible_sweep, tau_expansion, verify_serre_congruences, 
 CANONICAL_EXPONENT = {3: 2, 5: 2, 7: 4}
 # the largest Mazur-Tate level p^n accepted; every documented range fits
 MAX_LEVEL = 3**9
+# the largest tau --n accepted: 10^6 terms take about 12 s and 290 MB
+MAX_TAU_N = 10**6
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_tau = sub.add_parser("tau", help="stream tau(1..N), optionally reduced")
-    p_tau.add_argument("--n", type=int, required=True, help="number of coefficients")
+    p_tau.add_argument("--n", type=int, required=True, help=f"number of coefficients, at most {MAX_TAU_N}")
     p_tau.add_argument("--mod", type=int, default=None, help="reduce modulo this integer")
     p_tau.add_argument("--out", default=None, help="write to a file instead of stdout")
 
@@ -136,9 +138,9 @@ def _verify_A(args) -> tuple[list[dict], None]:
 
 def _verify_serre(args) -> tuple[list[dict], None]:
     records = []
-    for modulus, e1, e2 in fixtures.load_serre_congruences(args.fixtures):
-        rep = verify_serre_congruences(args.bound, congruences=[(modulus, e1, e2)])[0]
-        claim = f"tau(l) = l^{e1} + l^{e2} mod {modulus} for primes l <= {args.bound}"
+    # one call, so tau is expanded once for every congruence row
+    for rep in verify_serre_congruences(args.bound, congruences=fixtures.load_serre_congruences(args.fixtures)):
+        claim = f"tau(l) = l^{rep.e1} + l^{rep.e2} mod {rep.modulus} for primes l <= {args.bound}"
         records.append(_record(claim, "holds" if rep.ok else rep.first_failure, "holds", rep.ok))
     return records, None
 
@@ -312,6 +314,8 @@ def cmd_verify(args, parser) -> int:
 
 def cmd_mt(args, parser) -> int:
     p, n = args.p, args.n
+    if args.a is not None and args.source != "eis":
+        parser.error(f"--source {args.source} does not take --a")
     if p < 3 or p % 2 == 0 or n < 1:
         parser.error("need an odd prime --p and --n >= 1")
     _check_level(parser, p, n)
@@ -375,18 +379,23 @@ def main(argv=None) -> int:
     # every subcommand takes --out; a missing directory fails before any work
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         parser.error(f"no such file or directory: {args.out}")
+    if args.out and os.path.isdir(args.out):
+        parser.error(f"--out {args.out} is a directory")
     try:
         if args.command == "tau":
-            if args.n < 1:
-                parser.error("--n must be at least 1")
+            if not 1 <= args.n <= MAX_TAU_N:
+                parser.error(f"--n must be between 1 and {MAX_TAU_N}")
             if args.mod is not None and args.mod < 1:
                 parser.error("--mod must be at least 1")
             return cmd_tau(args)
         if args.command == "verify":
             return cmd_verify(args, parser)
         return cmd_mt(args, parser)
-    except FileNotFoundError as exc:
-        parser.error(f"no such file or directory: {exc.filename}")
+    except OSError as exc:
+        # a fixture table that cannot be read, or an --out that cannot be written
+        if exc.filename is None:
+            raise
+        parser.error(f"{exc.strerror.lower()}: {exc.filename}")
 
 
 def console_entry() -> None:

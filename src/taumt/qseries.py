@@ -2,8 +2,8 @@
 
 The tau function is expanded exactly by cubing Jacobi's sparse series for
 the eta-cube and squaring; polynomial products run through Kronecker
-substitution on Python big ints, which keeps the whole computation in two
-integer multiplications per squaring.
+substitution in base 10^w on exact Decimals, which the C decimal module
+multiplies by a number-theoretic transform: one product per squaring.
 
 Eisenstein coefficients are divisor sums c_n = sum_{d|n} psi(n/d) chi(d)
 d^(k-1); the scanners compare them against tau residues.
@@ -11,56 +11,56 @@ d^(k-1); the scanners compare them against tau residues.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, Context, Decimal
 from math import gcd, isqrt
 
 from .arith import DirichletCharacter, ResidueRing, bernoulli
 
-_SHIFT = 128  # bits per coefficient slot; |coeff| must stay below 2^127
-_BPER = _SHIFT // 8
+# every operation below is exact in this context
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _encode(coeffs: list[int]) -> int:
-    half = 1 << (_SHIFT - 1)
-    pos = bytearray(len(coeffs) * _BPER)
-    neg = bytearray(len(coeffs) * _BPER)
-    for i, c in enumerate(coeffs):
-        if not -half < c < half:
-            raise OverflowError(f"coefficient {c} exceeds the {_SHIFT}-bit digit slot")
-        if c > 0:
-            pos[i * _BPER:(i + 1) * _BPER] = c.to_bytes(_BPER, "little")
-        elif c < 0:
-            neg[i * _BPER:(i + 1) * _BPER] = (-c).to_bytes(_BPER, "little")
-    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+def _kronecker(coeffs: list[int], width: int) -> Decimal:
+    """sum c_i 10^(width i) as an exact Decimal, given 2 max|c_i| < 10^width.
 
-
-def _decode(n: int, length: int) -> list[int]:
-    half = 1 << (_SHIFT - 1)
-    base = 1 << _SHIFT
-    total = length * _BPER
-    raw = (n & ((1 << (8 * total)) - 1)).to_bytes(total, "little")
-    out = []
-    carry = 0
-    for i in range(length):
-        d = int.from_bytes(raw[i * _BPER:(i + 1) * _BPER], "little") + carry
-        if d >= half:
-            d -= base
-            carry = 1
-        else:
-            carry = 0
-        out.append(d)
-    return out
+    Packs the digit runs c_i + max|c|, most significant first and 512 at a
+    time, then takes max|c| (1 + 10^width + 10^(2 width) + ...) off again.
+    """
+    bias = max(map(abs, coeffs))
+    fmt = f"%0{width}d"
+    top = coeffs[::-1]
+    chunks = (top[i:i + 512] for i in range(0, len(top), 512))
+    packed = Decimal("".join((fmt * len(chunk)) % tuple(c + bias for c in chunk) for chunk in chunks))
+    return _EXACT.subtract(packed, _EXACT.multiply(bias, Decimal("1".zfill(width) * len(coeffs))))
 
 
 def poly_mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
-    """Product of integer polynomials, truncated to degree n."""
+    """Product of integer polynomials, truncated to degree n.
+
+    Exact at any size; only a slot wider than the int/str digit limit
+    (sys.get_int_max_str_digits) raises OverflowError, before any work.
+    """
     la = min(len(a), n + 1)
     lb = min(len(b), n + 1)
+    length = min(la + lb - 1, n + 1)
     bound = min(la, lb) * max(map(abs, a[:la]), default=0) * max(map(abs, b[:lb]), default=0)
-    if bound >= 1 << (_SHIFT - 1):
-        raise OverflowError("product coefficients may not fit the digit slots; reduce the bound")
-    prod = _encode(a[:la]) * _encode(b[:lb])
-    return _decode(prod, min(la + lb - 1, n + 1))
+    if bound <= 0:  # an empty or all-zero operand, or n < 0
+        return [0] * length
+    # width digits hold 2 * bound (30103 / 10^5 > log10 2), so |c_k| < half
+    width = (2 * bound).bit_length() * 30103 // 100000 + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and width > limit:
+        raise OverflowError(f"a {width}-digit coefficient slot exceeds the int/str digit limit of {limit}")
+    x = _kronecker(a[:la], width)
+    half = 5 * 10 ** (width - 1)
+    # half in every slot makes the low `length` slots of the product plain
+    # digit runs c_k + half; ROUND_FLOOR keeps that residue non-negative
+    prod = _EXACT.fma(x, x if a is b else _kronecker(b[:lb], width), Decimal(str(half) * length))
+    low = _EXACT.subtract(prod, prod.quantize(Decimal(f"1E{length * width}"), ROUND_FLOOR, _EXACT))
+    digits = format(low, "f").zfill(length * width)
+    return [int(digits[i - width:i]) - half for i in range(length * width, 0, -width)]
 
 
 def tau_expansion(n_max: int) -> list[int]:

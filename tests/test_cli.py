@@ -6,7 +6,7 @@ import pytest
 
 from taumt import fixtures
 from taumt.boundary import phi9_symbol
-from taumt.cli import FAMILIES, FAMILY_FLAGS, main
+from taumt.cli import FAMILIES, FAMILY_FLAGS, MAX_TAU_N, main
 
 
 def run(capsys, *argv):
@@ -102,6 +102,10 @@ def test_mt_rejects_unsupported_prime():
     (["verify", "B", "--nmax", "6"], "level 7^6 is above"),
     (["verify", "C", "--p", "5", "--nmax", "7"], "level 5^7 is above"),
     (["verify", "D", "--nmax", "10"], "level 3^10 is above"),
+    (["tau", "--n", "5", "--out", "{tmp}"], "is a directory"),
+    (["mt", "--source", "eis", "--p", "5", "--n", "1", "--out", "{tmp}"], "is a directory"),
+    (["verify", "serre", "--bound", "50", "--out", "{tmp}"], "is a directory"),
+    (["tau", "--n", "5", "--out", "{tmp}/" + "x" * 300], "file name too long: "),
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, tmp_path, argv, message):
     # cmd_verify exports --fixtures; setting the variable here lets
@@ -113,7 +117,7 @@ def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, tmp_path, argv
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
         argv = argv[1:]
-    argv = [str(tmp_path) if a == "{tmp}" else a for a in argv]
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
@@ -128,17 +132,68 @@ def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, tmp_path, argv
     (["mt", "--source", "eis", "--p", "5", "--n", "1"], "taumt.cli.mazur_tate"),
     (["verify", "B", "--nmax", "1"], "taumt.cli.mazur_tate"),
 ], ids=["tau", "mt", "verify"])
-def test_missing_out_directory_fails_before_any_work(capsys, monkeypatch, argv, stub):
+def test_missing_out_directory_fails_before_any_work(capsys, monkeypatch, tmp_path, argv, stub):
     def must_not_run(*args, **kwargs):
         raise AssertionError(f"{argv[0]} computed before checking --out")
 
     monkeypatch.setattr(stub, must_not_run)
+    # a missing directory, and an --out that is itself a directory
+    for out, message in (("/nonexistent/x.txt", "no such file or directory: /nonexistent/x.txt"),
+                         (str(tmp_path), f"--out {tmp_path} is a directory")):
+        with pytest.raises(SystemExit) as err:
+            main(argv + ["--out", out])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == f"taumt: error: {message}"
+
+
+@pytest.mark.parametrize("source", ["delta", "phi9"])
+def test_mt_source_without_a_refuses_it_before_any_symbol(capsys, monkeypatch, source):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"mt --source {source} built a symbol despite --a")
+
+    for name in ("delta_symbol", "phi9_symbol", "mazur_tate"):
+        monkeypatch.setattr(f"taumt.cli.{name}", must_not_run)
     with pytest.raises(SystemExit) as err:
-        main(argv + ["--out", "/nonexistent/x.txt"])
+        main(["mt", "--source", source, "--p", "3", "--n", "1", "--a", "2"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == "taumt: error: no such file or directory: /nonexistent/x.txt"
+    assert captured.err.splitlines()[-1] == f"taumt: error: --source {source} does not take --a"
+
+
+def test_tau_n_is_capped_before_any_work(capsys, monkeypatch):
+    def must_not_run(n):
+        raise AssertionError("tau expanded despite the cap")
+
+    monkeypatch.setattr("taumt.cli.tau_expansion", must_not_run)
+    for n in (MAX_TAU_N + 1, 10**100):
+        with pytest.raises(SystemExit) as err:
+            main(["tau", "--n", str(n)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"taumt: error: --n must be between 1 and {MAX_TAU_N}"
+    monkeypatch.setattr("taumt.cli.tau_expansion", lambda n: [0, 1])
+    assert main(["tau", "--n", str(MAX_TAU_N)]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+def test_verify_serre_expands_tau_once(capsys, monkeypatch):
+    from taumt import qseries
+
+    real = qseries.tau_expansion
+    calls = []
+
+    def counting(n_max):
+        calls.append(n_max)
+        return real(n_max)
+
+    for module in ("taumt.qseries", "taumt.cli"):
+        monkeypatch.setattr(f"{module}.tau_expansion", counting)
+    code, out = run(capsys, "verify", "serre", "--bound", "300")
+    assert code == 0
+    assert len(json.loads(out)) == 3
+    assert calls == [300]
 
 
 @pytest.mark.parametrize("override_first", [False, True], ids=["plain-first", "override-first"])

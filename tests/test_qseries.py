@@ -1,9 +1,11 @@
 import random
+import sys
 
 import pytest
 
 from taumt.arith import DirichletCharacter, ResidueRing
 from taumt.qseries import (
+    _divisor_sums,
     admissible_sweep,
     coeffs_from_prime_data,
     eisenstein_coeffs,
@@ -43,29 +45,161 @@ def test_tau_rejects_nonpositive_bound():
         tau_expansion(0)
 
 
+# The kernel before the decimal one: Kronecker substitution on Python ints
+# with a fixed 128-bit slot, kept verbatim as a reference.
+_SHIFT = 128  # bits per coefficient slot; |coeff| must stay below 2^127
+_BPER = _SHIFT // 8
+
+
+def _encode(coeffs: list[int]) -> int:
+    half = 1 << (_SHIFT - 1)
+    pos = bytearray(len(coeffs) * _BPER)
+    neg = bytearray(len(coeffs) * _BPER)
+    for i, c in enumerate(coeffs):
+        if not -half < c < half:
+            raise OverflowError(f"coefficient {c} exceeds the {_SHIFT}-bit digit slot")
+        if c > 0:
+            pos[i * _BPER:(i + 1) * _BPER] = c.to_bytes(_BPER, "little")
+        elif c < 0:
+            neg[i * _BPER:(i + 1) * _BPER] = (-c).to_bytes(_BPER, "little")
+    return int.from_bytes(bytes(pos), "little") - int.from_bytes(bytes(neg), "little")
+
+
+def _decode(n: int, length: int) -> list[int]:
+    half = 1 << (_SHIFT - 1)
+    base = 1 << _SHIFT
+    total = length * _BPER
+    raw = (n & ((1 << (8 * total)) - 1)).to_bytes(total, "little")
+    out = []
+    carry = 0
+    for i in range(length):
+        d = int.from_bytes(raw[i * _BPER:(i + 1) * _BPER], "little") + carry
+        if d >= half:
+            d -= base
+            carry = 1
+        else:
+            carry = 0
+        out.append(d)
+    return out
+
+
+def reference_poly_mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
+    """Product of integer polynomials, truncated to degree n."""
+    la = min(len(a), n + 1)
+    lb = min(len(b), n + 1)
+    bound = min(la, lb) * max(map(abs, a[:la]), default=0) * max(map(abs, b[:lb]), default=0)
+    if bound >= 1 << (_SHIFT - 1):
+        raise OverflowError("product coefficients may not fit the digit slots; reduce the bound")
+    prod = _encode(a[:la]) * _encode(b[:lb])
+    return _decode(prod, min(la + lb - 1, n + 1))
+
+
+def schoolbook(a, b, n):
+    a, b = a[: n + 1], b[: n + 1]
+    out = [0] * max(min(len(a) + len(b) - 1, n + 1), 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[: n + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
 def test_poly_mul_overflow_guard():
-    with pytest.raises(OverflowError):
-        poly_mul_trunc([1 << 120, 1], [1 << 120, 1], 2)
+    # the old 128-bit slot refused this pair; any slot width is exact now
+    assert poly_mul_trunc([1 << 120, 1], [1 << 120, 1], 2) == [1 << 240, 1 << 121, 1]
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        huge = [10 ** limit, 1]
+        with pytest.raises(OverflowError):
+            poly_mul_trunc(huge, huge, 2)
+        just_below = [10 ** (limit // 2 - 4), -1]
+        assert poly_mul_trunc(just_below, just_below, 2) == schoolbook(just_below, just_below, 2)
+
+
+def test_kernel_matches_the_128_bit_reference():
+    rng = random.Random(26)
+    for _ in range(200):
+        la, lb = rng.randrange(1, 40), rng.randrange(1, 40)
+        # min(la, lb) * 2^60 * 2^60 stays inside the reference's 127 bits
+        a = [rng.randrange(-2**60, 2**60) for _ in range(la)]
+        b = [rng.randrange(-2**60, 2**60) for _ in range(lb)]
+        n = rng.randrange(0, la + lb + 5)
+        assert poly_mul_trunc(a, b, n) == reference_poly_mul_trunc(a, b, n)
+
+
+def test_tau_expansion_matches_the_128_bit_reference():
+    n_max = 5000
+    f = [0] * n_max
+    k = 0
+    while k * (k + 1) // 2 < n_max:
+        f[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    g = f
+    for _ in range(3):
+        g = reference_poly_mul_trunc(g, g, n_max - 1)
+    assert tau_expansion(n_max) == [0] + g
 
 
 def test_poly_mul_trunc_against_schoolbook():
     rng = random.Random(3)
-    for _ in range(50):
-        a = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(1, 30))]
-        b = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(1, 30))]
-        n = rng.randrange(1, 40)
-        expected = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                expected[i + j] += x * y
-        assert poly_mul_trunc(a, b, n) == expected[: n + 1]
+    for bits in (0, 1, 60, 200, 1000):
+        for la in range(0, 61, 4):
+            lb = rng.randrange(0, 61)
+            a = [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(la)]
+            b = [rng.randrange(-(1 << bits), (1 << bits) + 1) for _ in range(lb)]
+            # n below, at and above la + lb - 1
+            for n in {0, rng.randrange(0, max(la + lb - 1, 1)), la + lb - 2, la + lb - 1, la + lb + 7}:
+                if n >= 0:
+                    assert poly_mul_trunc(a, b, n) == schoolbook(a, b, n), (bits, la, lb, n)
+    # a product whose top slots are zero must not shift the digits it keeps
+    a = [1, 1, 0, 1, -1, -1, 1, 1, -2, -2, 1, -1, -2, 1]
+    b = [-2, 0, 0, 0, 0, -2]
+    for n in range(0, 25):
+        assert poly_mul_trunc(a, b, n) == schoolbook(a, b, n)
+    # here the slot is 4 digits and the top slot reads -4032 + 5000 = 968,
+    # one digit short, which must not shift the slots below it
+    assert poly_mul_trunc([0, 64], [-63], 1) == [0, -4032]
+    assert poly_mul_trunc([], [1, 2, 3], 5) == [0, 0]
+    assert poly_mul_trunc([0, 0], [1, 2, 3], 5) == [0, 0, 0, 0]
+
+
+def test_square_of_one_list_equals_product_with_a_copy():
+    rng = random.Random(5)
+    for bits in (1, 60, 300):
+        for length in (1, 2, 17, 600):
+            a = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(length)]
+            for n in (0, length // 2, 2 * length):
+                assert poly_mul_trunc(a, a, n) == poly_mul_trunc(a, list(a), n)
+
+
+def test_long_product_holds_at_seeded_points_mod_two_primes():
+    rng = random.Random(7)
+    size = 20_000
+    a = [rng.randrange(-2**80, 2**80) for _ in range(size)]
+    b = [rng.randrange(-2**80, 2**80) for _ in range(size)]
+    r = poly_mul_trunc(a, b, 2 * size)
+    assert len(r) == 2 * size - 1
+    for q in (2**61 - 1, 2**31 - 1):
+        for _ in range(3):
+            x = rng.randrange(q)
+            value = [0, 0, 0]
+            for k, poly in enumerate((a, b, r)):
+                for c in reversed(poly):
+                    value[k] = (value[k] * x + c) % q
+            assert value[0] * value[1] % q == value[2]
+
+
+def test_tau_is_sigma_11_mod_691(tau10k):
+    ring = ResidueRing(691, 1)
+    one = DirichletCharacter.trivial()
+    sigma11 = _divisor_sums(12, one, one, 10_000, ring)
+    assert all((t - s) % 691 == 0 for t, s in zip(tau10k[1:], sigma11[1:]))
 
 
 def test_tau_multiplicativity_via_prime_data(tau10k):
     tau = tau10k
-    primes = {p: tau[p] for p in primes_up_to(1000)}
-    rebuilt = coeffs_from_prime_data(primes, 12, DirichletCharacter.trivial(), 1000)
-    assert rebuilt == tau[:1001]
+    primes = {p: tau[p] for p in primes_up_to(10_000)}
+    rebuilt = coeffs_from_prime_data(primes, 12, DirichletCharacter.trivial(), 10_000)
+    assert rebuilt == tau
 
 
 def test_coeffs_from_prime_data_basics():
