@@ -20,7 +20,7 @@ class BoundarySymbol:
 
     Stored as an orbit-value table over pairwise-inequivalent representatives;
     cusps not listed take the value 0.  Evaluation looks up the cusp's
-    cusp_key, memoized by (a mod N, c mod N), which the key depends on.
+    cusp_key.
     """
 
     def __init__(self, level: int, ring: ResidueRing, reps: list[Cusp], values: list[int], label: str = ""):
@@ -34,16 +34,10 @@ class BoundarySymbol:
         self._table = {cusp_key(level, r): v for r, v in zip(self.reps, self.values)}
         if len(self._table) != len(self.reps):
             raise ValueError("representatives are not pairwise inequivalent")
-        self._memo: dict[tuple[int, int], int] = {}
 
     def value(self, cusp: Cusp) -> int:
         """The symbol's value at the cusp, 0 off the listed support."""
-        # the memo saves the key's gcd on the Mazur-Tate hot path
-        residues = (cusp.a % self.level, cusp.c % self.level)
-        v = self._memo.get(residues)
-        if v is None:
-            v = self._memo[residues] = self._table.get(cusp_key(self.level, cusp), 0)
-        return v
+        return self._table.get(cusp_key(self.level, cusp), 0)
 
     def difference(self, r: Cusp, s: Cusp) -> int:
         """value(r) - value(s) in the symbol's ring."""

@@ -20,16 +20,16 @@ import sys
 
 from . import fixtures
 from .arith import INFINITY, DirichletCharacter, _prime_factors
-from .boundary import eisenstein_boundary_symbol, phi9_symbol
+from .boundary import BoundarySymbol, eisenstein_boundary_symbol, phi9_symbol
 from .cusps import Cusp
 from .iwasawa import fit_global_unit, invariants, mazur_tate, to_T_basis
 from .mansym import alpha_N, delta_symbol
 from .qseries import admissible_sweep, tau_expansion, verify_serre_congruences, verify_tau_congruence
 
-CANONICAL_EXPONENT = {3: 2, 5: 2, 7: 4}
-# the largest Mazur-Tate level p^n accepted; every documented range fits
-MAX_LEVEL = 3**9
-# the largest tau --n accepted: 10^6 terms take about 12 s and 290 MB
+# the largest modulus p^(n+1) a Mazur-Tate walk of level p^n may run over:
+# it visits (p - 1)p^n units, and every documented tower (3^9, 5^6, 7^5) fits
+MAX_MODULUS = 7**6
+# the largest tau --n (and verify --bound) accepted: 10^6 terms take about 12 s and 290 MB
 MAX_TAU_N = 10**6
 
 
@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     # to cmd_verify, which fills each family's own defaults from FAMILIES
     p_verify.add_argument("--p", type=int, action="append", help="restrict to this prime (repeatable)")
     p_verify.add_argument("--nmax", type=int, help="largest Mazur-Tate level")
-    p_verify.add_argument("--bound", type=int, help="coefficient bound for scans")
+    p_verify.add_argument("--bound", type=int, help=f"coefficient bound for scans, at most {MAX_TAU_N}")
     p_verify.add_argument("--samples", type=int, help="random divisor pairs for congmodsymb")
     p_verify.add_argument("--seed", type=int, help="seed for sampled checks")
     p_verify.add_argument("--format", choices=["json", "csv"], default="json")
@@ -59,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None)
 
     p_mt = sub.add_parser("mt", help="emit a Mazur-Tate element and its invariants")
-    p_mt.add_argument("--source", choices=["delta", "eis", "phi9"], required=True)
+    p_mt.add_argument("--source", choices=list(SOURCES), required=True)
     p_mt.add_argument("--p", type=int, required=True)
     p_mt.add_argument("--n", type=int, required=True)
     p_mt.add_argument("--m", type=int, default=None, help="coefficient precision p^m")
-    p_mt.add_argument("--a", type=int, default=None, help="Teichmuller exponent for --source eis")
+    p_mt.add_argument("--a", type=int, default=None, help="Teichmuller exponent for eis (default 10 mod p - 1)")
     p_mt.add_argument("--format", choices=["json", "csv"], default="json")
     p_mt.add_argument("--out", default=None)
     return parser
@@ -77,40 +77,62 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _records_text(records: list[dict], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(records, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def _csv_text(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    keys = sorted({k for r in records for k in r})
-    writer.writerow(keys)
-    for r in records:
-        writer.writerow([r.get(k, "") for k in keys])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
+def _records_text(records: list[dict], fmt: str) -> str:
+    if fmt == "json":
+        return _json_text(records)
+    keys = sorted({k for r in records for k in r})
+    return _csv_text([keys] + [[r.get(k, "") for k in keys] for r in records])
+
+
 def _record(claim: str, computed, expected, passed: bool, **extra) -> dict:
-    rec = {"claim": claim, "computed": computed, "expected": expected, "pass": bool(passed)}
-    rec.update(extra)
-    return rec
+    return {"claim": claim, "computed": computed, "expected": expected, "pass": bool(passed), **extra}
 
 
-def _eisenstein_symbol(p: int, exponent: int, m: int):
+def canonical_exponent(p: int) -> int:
+    """The e in [1, p - 1] with e = k - 2 = 10 mod p - 1: alpha_p of a weight-k symbol
+    carries omega^(k-2) on Gamma_0(p), so Delta = E_{12,chi,psi} mod p has psi = omega^e."""
+    return 9 % (p - 1) + 1
+
+
+def _eisenstein_symbol(p: int, m: int, exponent: int):
     """The boundary symbol of (omega_p^exponent, trivial) with values in Z/p^m."""
     psi = DirichletCharacter.teichmuller_power(p, exponent, m)
     return eisenstein_boundary_symbol(psi, DirichletCharacter.trivial())
 
 
 def _check_level(parser, p: int, n: int) -> None:
-    # p >= 3 makes p^10 > MAX_LEVEL, so capping n decides a huge --n at once
-    if p ** min(n, 10) > MAX_LEVEL:
-        parser.error(f"level {p}^{n} is above the largest supported level 3^9 = {MAX_LEVEL}")
+    # p >= 3 makes p^11 > MAX_MODULUS, so capping n decides a huge --n at once
+    if p ** min(n + 1, 11) > MAX_MODULUS:
+        parser.error(f"level {p}^{n} is above the largest supported level: {p}^{n + 1} > 7^6 = {MAX_MODULUS}")
+
+
+def _take_flags(parser, args, takes: dict, flags: tuple, name: str) -> None:
+    """Fill each flag left unset from takes; refuse a flag takes lacks, or a value out of range."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is None:
+            default = takes.get(flag)
+            setattr(args, flag, default(args.p) if callable(default) else default)
+        elif flag not in takes:
+            parser.error(f"{name} does not take --{flag}")
+        elif flag in _AT_LEAST and value < _AT_LEAST[flag]:
+            parser.error(f"--{flag} must be at least {_AT_LEAST[flag]}")
+        elif value > _AT_MOST.get(flag, value):
+            parser.error(f"--{flag} must be at most {_AT_MOST[flag]}")
 
 
 def _jsonable(x):
-    if x == INFINITY:
-        return "inf"
-    return x
+    return "inf" if x == INFINITY else x
 
 
 def cmd_tau(args) -> int:
@@ -127,7 +149,7 @@ def _verify_A(args) -> tuple[list[dict], None]:
     tau = tau_expansion(bound)
     records = []
     for p in args.p:
-        rep = verify_tau_congruence(p, 2, CANONICAL_EXPONENT[p], 0, bound, tau)
+        rep = verify_tau_congruence(p, 2, canonical_exponent(p), 0, bound, tau)
         records.append(_record(str(rep), "holds" if rep.ok else list(rep.first_failure), "holds", rep.ok, p=p))
     sweep_bound = min(bound, 1000)
     for p in args.p:
@@ -170,7 +192,7 @@ def _verify_congmodsymb(args) -> tuple[list[dict], None]:
             ours, printed, unit is not None, p=p, unit=unit))
         if unit is None:
             continue
-        phi = _eisenstein_symbol(p, CANONICAL_EXPONENT[p], 1)
+        phi = _eisenstein_symbol(p, 1, canonical_exponent(p))
         c_p = {5: 2, 7: 1}[p] * unit % p
         bad = None
         for _ in range(args.samples):
@@ -211,12 +233,9 @@ def _verify_appendix(args) -> tuple[list[dict], str]:
     # the alpha column scaled back by the fitted unit so a passing run prints
     # the same numbers a reader would transcribe
     inv_unit = pow(unit, -1, 9) if unit else 1
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["divisor", "alpha", "phi9"])
-    for (r, s, _, _), got_a, got_phi in zip(rows, ours_alpha, ours_phi):
-        writer.writerow([f"{{{r}}} - {{{s}}}", got_a * inv_unit % 9, got_phi])
-    return records, buf.getvalue()
+    table = [[f"{{{r}}} - {{{s}}}", got_a * inv_unit % 9, got_phi]
+             for (r, s, _, _), got_a, got_phi in zip(rows, ours_alpha, ours_phi)]
+    return records, _csv_text([["divisor", "alpha", "phi9"], *table])
 
 
 def _invariants_record(claim: str, theta, expected: tuple) -> dict:
@@ -229,7 +248,7 @@ def _verify_B(args) -> tuple[list[dict], None]:
     """Boundary route: mu = 0 and lambda = p^n - 1 for the level-p Eisenstein symbol."""
     records = []
     for p in args.p:
-        phi = _eisenstein_symbol(p, CANONICAL_EXPONENT[p], 1)
+        phi = _eisenstein_symbol(p, 1, canonical_exponent(p))
         for n in range(1, args.nmax + 1):
             records.append(_invariants_record(
                 f"lambda(theta_{{{n},eis}}) = {p}^{n} - 1", mazur_tate(phi, p, n, 1), (0, p**n - 1)))
@@ -240,7 +259,7 @@ def _verify_C(args) -> tuple[list[dict], None]:
     """Delta route: the same lambda, and theta_Delta = c_p * theta_eis mod p coefficientwise."""
     records = []
     for p in args.p:
-        phi = _eisenstein_symbol(p, CANONICAL_EXPONENT[p], 1)
+        phi = _eisenstein_symbol(p, 1, canonical_exponent(p))
         for n in range(1, args.nmax + 1):
             theta_delta = mazur_tate(delta_symbol(), p, n, 1)
             theta_eis = mazur_tate(phi, p, n, 1)
@@ -278,19 +297,22 @@ FAMILIES = {
     "appendix": (_verify_appendix, {}),
 }
 FAMILY_FLAGS = ("p", "nmax", "bound", "samples", "seed")
-_AT_LEAST = {"nmax": 1, "bound": 2, "samples": 1}
+
+# name -> (builder (p, m, a) -> symbol, the flags it takes with their defaults
+# (a default may be a function of p), the primes it supports or None for all).
+SOURCES = {
+    "delta": (lambda p, m, a: delta_symbol(), {"m": lambda p: 2 if p == 3 else 1}, (3, 5, 7)),
+    "eis": (_eisenstein_symbol, {"m": 1, "a": canonical_exponent}, None),
+    "phi9": (lambda p, m, a: phi9_symbol(), {"m": 2}, (3,)),
+}
+SOURCE_FLAGS = ("m", "a")
+_AT_LEAST = {"nmax": 1, "bound": 2, "samples": 1, "m": 1}
+_AT_MOST = {"bound": MAX_TAU_N}  # --bound sizes a tau expansion, as tau --n does
 
 
 def cmd_verify(args, parser) -> int:
     run, takes = FAMILIES[args.theorem]
-    for flag in FAMILY_FLAGS:
-        value = getattr(args, flag)
-        if value is None:
-            setattr(args, flag, takes.get(flag))
-        elif flag not in takes:
-            parser.error(f"verify {args.theorem} does not take --{flag}")
-        elif flag in _AT_LEAST and value < _AT_LEAST[flag]:
-            parser.error(f"--{flag} must be at least {_AT_LEAST[flag]}")
+    _take_flags(parser, args, takes, FAMILY_FLAGS, f"verify {args.theorem}")
     if args.p is not None:
         if len(set(args.p)) < len(args.p):
             parser.error("--p names the same prime twice")
@@ -313,37 +335,24 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_mt(args, parser) -> int:
-    p, n = args.p, args.n
-    if args.a is not None and args.source != "eis":
-        parser.error(f"--source {args.source} does not take --a")
-    if p < 3 or p % 2 == 0 or n < 1:
+    if args.p < 3 or args.p % 2 == 0 or args.n < 1:
         parser.error("need an odd prime --p and --n >= 1")
-    _check_level(parser, p, n)
-    if args.m is not None and args.m < 1:
-        parser.error("--m must be at least 1")
-    if args.source == "delta":
-        if p not in (3, 5, 7):
-            parser.error("--source delta supports p in {3, 5, 7}")
-        m = args.m or (2 if p == 3 else 1)
-        theta = mazur_tate(delta_symbol(), p, n, m)
-    elif args.source == "phi9":
-        m = args.m or 2
-        if p != 3 or m > 2:
-            parser.error("--source phi9 lives in Z/9: it needs --p 3 and --m at most 2")
-        theta = mazur_tate(phi9_symbol(), 3, n, m)
-    else:
-        # delta and phi9 accept fixed primes; only eis needs the O(sqrt p) test
-        if _prime_factors(p) != [p]:
-            parser.error("--source eis needs a prime --p")
-        m = args.m or 1
-        exponent = args.a if args.a is not None else CANONICAL_EXPONENT.get(p)
-        if exponent is None:
-            parser.error(f"no default Teichmuller exponent for p={p}; pass --a")
-        try:
-            phi = _eisenstein_symbol(p, exponent, m)
-        except ValueError as exc:
-            parser.error(str(exc))
-        theta = mazur_tate(phi, p, n, m)
+    # the level cap bounds p before the O(sqrt p) primality test
+    _check_level(parser, args.p, args.n)
+    build, takes, primes = SOURCES[args.source]
+    _take_flags(parser, args, takes, SOURCE_FLAGS, f"--source {args.source}")
+    p, n, m = args.p, args.n, args.m
+    if primes is not None and p not in primes:
+        parser.error(f"--source {args.source} supports p in {set(primes)}")
+    if _prime_factors(p) != [p]:
+        parser.error(f"--source {args.source} needs a prime --p")
+    try:
+        symbol = build(p, m, args.a)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if isinstance(symbol, BoundarySymbol) and m > symbol.ring.m:
+        parser.error(f"--source {args.source} lives in Z/{symbol.ring.n}: it needs --m at most {symbol.ring.m}")
+    theta = mazur_tate(symbol, p, n, m)
     tpoly = to_T_basis(theta)
     inv = invariants(tpoly)
     payload = {
@@ -358,18 +367,9 @@ def cmd_mt(args, parser) -> int:
         "precision_ok": inv.precision_ok,
         "unit": None,
     }
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "group_basis", "T_basis"])
-        for i, (c, a) in enumerate(zip(theta.coeffs, tpoly.coeffs)):
-            writer.writerow([i, c, a])
-        writer.writerow(["mu", _jsonable(inv.mu), ""])
-        writer.writerow(["lambda", _jsonable(inv.lam), ""])
-        text = buf.getvalue()
-    _emit(text, args.out)
+    table = [["index", "group_basis", "T_basis"], *zip(range(len(theta.coeffs)), theta.coeffs, tpoly.coeffs)]
+    table += [["mu", _jsonable(inv.mu), ""], ["lambda", _jsonable(inv.lam), ""]]
+    _emit(_json_text(payload) if args.format == "json" else _csv_text(table), args.out)
     return 0
 
 

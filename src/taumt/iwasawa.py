@@ -15,6 +15,7 @@ attaining it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .arith import INFINITY, is_primitive_root, ord_p_truncated, primitive_root
 from .boundary import BoundarySymbol
@@ -67,8 +68,12 @@ def _values_at_level(source, p: int, n: int, m: int):
             raise ValueError(
                 f"boundary symbol lives in Z/{source.ring.n}, cannot reduce to Z/{pm}"
             )
+        # the value at a/p^(n+1) reads a only mod gcd(p^(n+1), level) (see
+        # cusp_key), so one value per unit residue serves the whole walk
+        g = gcd(modulus, source.level)
         vinf = source.value(INFINITY_CUSP)
-        return lambda a: (vinf - source.value(Cusp(a, modulus))) % pm
+        table = {a % g: (vinf - source.value(Cusp(a, modulus))) % pm for a in range(1, g + 1) if a % p}
+        return lambda a: table[a % g]
     if isinstance(source, ManinSymbol):
         source = alpha_N(source, pm, normalize=True)
     if isinstance(source, WeightZeroSymbol):

@@ -1,12 +1,17 @@
+import hashlib
 import json
 import os
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 
 from taumt import fixtures
 from taumt.boundary import phi9_symbol
-from taumt.cli import FAMILIES, FAMILY_FLAGS, MAX_TAU_N, main
+from taumt.cli import FAMILIES, FAMILY_FLAGS, MAX_TAU_N, SOURCE_FLAGS, SOURCES, canonical_exponent, main
+
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
 
 
 def run(capsys, *argv):
@@ -106,6 +111,10 @@ def test_mt_rejects_unsupported_prime():
     (["mt", "--source", "eis", "--p", "5", "--n", "1", "--out", "{tmp}"], "is a directory"),
     (["verify", "serre", "--bound", "50", "--out", "{tmp}"], "is a directory"),
     (["tau", "--n", "5", "--out", "{tmp}/" + "x" * 300], "file name too long: "),
+    (["mt", "--source", "eis", "--p", "5", "--n", "1", "--m", "0"], "--m must be at least 1"),
+    (["mt", "--source", "eis", "--p", "5", "--n", "1", "--a", "1"], "parity violation"),
+    (["mt", "--source", "eis", "--p", "19681", "--n", "1"], "level 19681^1 is above"),
+    (["verify", "serre", "--bound", str(MAX_TAU_N + 1)], f"--bound must be at most {MAX_TAU_N}"),
 ])
 def test_bad_input_is_a_one_line_usage_error(capsys, monkeypatch, tmp_path, argv, message):
     # cmd_verify exports --fixtures; setting the variable here lets
@@ -148,19 +157,96 @@ def test_missing_out_directory_fails_before_any_work(capsys, monkeypatch, tmp_pa
         assert captured.err.splitlines()[-1] == f"taumt: error: {message}"
 
 
-@pytest.mark.parametrize("source", ["delta", "phi9"])
-def test_mt_source_without_a_refuses_it_before_any_symbol(capsys, monkeypatch, source):
+@pytest.mark.parametrize("source, flag", [
+    (source, flag) for source, (_, takes, _) in SOURCES.items() for flag in SOURCE_FLAGS if flag not in takes
+])
+def test_mt_source_refuses_a_flag_it_does_not_take(capsys, monkeypatch, source, flag):
     def must_not_run(*args, **kwargs):
-        raise AssertionError(f"mt --source {source} built a symbol despite --a")
+        raise AssertionError(f"mt --source {source} built a symbol despite --{flag}")
 
     for name in ("delta_symbol", "phi9_symbol", "mazur_tate"):
         monkeypatch.setattr(f"taumt.cli.{name}", must_not_run)
+    monkeypatch.setitem(SOURCES, source, (must_not_run, *SOURCES[source][1:]))
     with pytest.raises(SystemExit) as err:
-        main(["mt", "--source", source, "--p", "3", "--n", "1", "--a", "2"])
+        main(["mt", "--source", source, "--p", "3", "--n", "1", f"--{flag}", "2"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1] == f"taumt: error: --source {source} does not take --a"
+    assert captured.err.splitlines()[-1] == f"taumt: error: --source {source} does not take --{flag}"
+
+
+def test_canonical_exponent_is_10_mod_p_minus_1():
+    assert {p: canonical_exponent(p) for p in (3, 5, 7)} == {3: 2, 5: 2, 7: 4}
+    for p in range(3, 100, 2):
+        if all(p % d for d in range(3, p, 2)):
+            e = canonical_exponent(p)
+            assert 1 <= e <= p - 1 and (e - 10) % (p - 1) == 0, p
+
+
+def test_mt_eis_defaults_to_the_canonical_exponent_at_every_prime(capsys):
+    for p in (11, 13):
+        _, default = run(capsys, "mt", "--source", "eis", "--p", str(p), "--n", "1")
+        _, explicit = run(capsys, "mt", "--source", "eis", "--p", str(p), "--n", "1", "--a", "10")
+        assert default == explicit
+        assert json.loads(default)["claim"] == f"mazur-tate source=eis p={p} n=1 m=1"
+
+
+class WorkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("p, n, admitted", [
+    (3, 9, True), (3, 10, False), (5, 6, True), (5, 7, False), (7, 5, True), (7, 6, False),
+    (11, 3, True), (11, 4, False), (337, 1, True), (347, 1, False), (19681, 1, False),
+])
+def test_mt_caps_the_walked_modulus_before_any_work(capsys, monkeypatch, p, n, admitted):
+    # the cap is p^(n+1) <= 7^6: the walk visits (p - 1)p^n units, and the
+    # eis symbol of level p costs O(p^2) cusp representatives before it
+    def work(*args, **kwargs):
+        raise WorkStarted
+
+    for stub in ("taumt.boundary.cusp_representatives", "taumt.cli.mazur_tate"):
+        monkeypatch.setattr(stub, work)
+    argv = ["mt", "--source", "eis", "--p", str(p), "--n", str(n)]
+    if admitted:
+        with pytest.raises(WorkStarted):
+            main(argv)
+        return
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"taumt: error: level {p}^{n} is above the largest supported level: {p}^{n + 1} > 7^6 = 117649")
+
+
+@pytest.mark.parametrize("family", ["A", "serre"])
+def test_verify_bound_is_capped_before_any_work(capsys, monkeypatch, family):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"verify {family} expanded tau despite the cap")
+
+    for stub in ("taumt.cli.tau_expansion", "taumt.qseries.tau_expansion"):
+        monkeypatch.setattr(stub, must_not_run)
+    for bound in (MAX_TAU_N + 1, 10**100):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", family, "--bound", str(bound)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"taumt: error: --bound must be at most {MAX_TAU_N}"
+    monkeypatch.setitem(FAMILIES, family, (lambda args: ([], None), FAMILIES[family][1]))
+    assert main(["verify", family, "--bound", str(MAX_TAU_N)]) == 0
+
+
+def test_outputs_match_the_recorded_digests(capsys):
+    # perfbench/golden.json holds the sha256 of stdout for each benchmark
+    # command line; every mt line up to n = 3 and both appendix formats
+    digests = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+    lines = [k for k in digests if k.startswith("taumt mt ") and int(k.split("--n ")[1].split()[0]) <= 3]
+    lines += ["taumt verify appendix --format csv", "taumt verify appendix --format json"]
+    assert len(lines) == 92
+    for line in lines:
+        main(shlex.split(line)[1:])
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests[line], line
 
 
 def test_tau_n_is_capped_before_any_work(capsys, monkeypatch):

@@ -225,3 +225,40 @@ def test_mazur_tate_rejects_mismatched_ring():
         mazur_tate(eis_symbol(5, 2), 7, 1, 1)
     with pytest.raises(ValueError):
         mazur_tate(eis_symbol(5, 2), 5, 1, 2)  # symbol only carries precision 1
+
+
+def _theta_by_evaluating_every_unit(sym, p, n, m):
+    """The level-n coefficients, each unit a/p^(n+1) evaluated on its own."""
+    modulus, pn, pm = p ** (n + 1), p ** n, p ** m
+    g, a = primitive_root(p, n), 1
+    coeffs = [0] * pn
+    for e in range((p - 1) * pn):
+        coeffs[e % pn] = (coeffs[e % pn] + sym.value(INFINITY_CUSP) - sym.value(Cusp(a, modulus))) % pm
+        a = a * g % modulus
+    return tuple(coeffs)
+
+
+def _synthetic_symbol(level, p):
+    reps = cusp_representatives(level)
+    return BoundarySymbol(level, ResidueRing(p, 1), reps, [(i * i + 1) % p for i in range(len(reps))])
+
+
+@pytest.mark.parametrize("make, p, n, m", [
+    # level 5 is prime to p = 3, so gcd(3^(n+1), 5) = 1 and one value serves every unit
+    (lambda: eisenstein_boundary_symbol(DirichletCharacter.trivial(),
+                                        DirichletCharacter(5, 5, (0, 1, 2, 2, 1), ResidueRing(3, 1)),
+                                        ResidueRing(3, 1)),
+     3, 2, 1),
+    # level 27 is above the modulus 3^2 at n = 1
+    (phi9_symbol, 3, 1, 2),
+    (phi9_symbol, 3, 3, 2),
+    (lambda: eis_symbol(5, 2), 5, 2, 1),
+    # levels 45 and 75 carry a second prime: the value at a/p^(n+1) reads a mod 9, mod 25
+    (lambda: _synthetic_symbol(45, 3), 3, 2, 1),
+    (lambda: _synthetic_symbol(75, 5), 5, 1, 1),
+], ids=["level-prime-to-p", "level-above-modulus", "phi9-n3", "eis5", "level45", "level75"])
+def test_boundary_walk_reads_one_value_per_residue(make, p, n, m):
+    sym = make()
+    theta = mazur_tate(sym, p, n, m)
+    assert theta.coeffs == _theta_by_evaluating_every_unit(sym, p, n, m)
+    assert any(theta.coeffs)
