@@ -21,6 +21,7 @@ from .arith import INFINITY, is_primitive_root, ord_p_truncated, primitive_root
 from .boundary import BoundarySymbol
 from .cusps import Cusp, INFINITY_CUSP
 from .mansym import ManinSymbol, WeightZeroSymbol, alpha_N
+from .qseries import poly_mul_trunc
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,14 @@ def _values_at_level(source, p: int, n: int, m: int):
     raise TypeError(f"cannot build Mazur-Tate elements from {type(source).__name__}")
 
 
+def _generator(p: int, n: int, generator: int | None) -> int:
+    """The given generator of the units mod p^(n+1), checked, or the least one."""
+    g = primitive_root(p, n) if generator is None else generator
+    if not is_primitive_root(g, p, n):
+        raise ValueError(f"{g} does not generate the units mod {p}^{n + 1}")
+    return g
+
+
 def mazur_tate(source, p: int, n: int, m: int, generator: int | None = None) -> GroupRingElt:
     """Level-n Mazur-Tate element of a boundary symbol or a Manin symbol.
 
@@ -91,9 +100,7 @@ def mazur_tate(source, p: int, n: int, m: int, generator: int | None = None) -> 
     """
     if n < 1 or m < 1:
         raise ValueError("level and precision must be at least 1")
-    g = primitive_root(p, n) if generator is None else generator
-    if not is_primitive_root(g, p, n):
-        raise ValueError(f"{g} does not generate the units mod {p}^{n + 1}")
+    g = _generator(p, n, generator)
     value_at = _values_at_level(source, p, n, m)
     modulus = p ** (n + 1)
     pn = p**n
@@ -108,11 +115,31 @@ def mazur_tate(source, p: int, n: int, m: int, generator: int | None = None) -> 
 
 
 def _taylor_shift(coeffs: tuple[int, ...], s: int, pm: int) -> tuple[int, ...]:
-    """Coefficients of sum c_j (X + s)^j mod pm, by Horner's rule."""
-    out: list[int] = []
-    for c in reversed(coeffs):
-        out = [(s * hi + lo) % pm for hi, lo in zip(out + [0], [c] + out)]
-    return tuple(out)
+    """Coefficients of sum c_j (X + s)^j mod pm.
+
+    Divide and conquer (von zur Gathen and Gerhard, ISSAC 1997): with h the
+    largest power of two below the length, the shift of c is
+    shift(c[:h]) + (X + s)^h shift(c[h:]).  The powers (X + s)^(2^k) are
+    squared up once, every product is qseries.poly_mul_trunc, and blocks
+    below 64 terms use Horner's rule.
+    """
+    powers = {1: [s % pm, 1]}  # h -> (X + s)^h mod pm
+    h = 1
+    while 2 * h < len(coeffs):
+        powers[2 * h] = [x % pm for x in poly_mul_trunc(powers[h], powers[h], 2 * h)]
+        h *= 2
+
+    def shift(c: list[int]) -> list[int]:
+        if len(c) < 64:
+            out: list[int] = []
+            for x in reversed(c):
+                out = [(s * hi + lo) % pm for hi, lo in zip(out + [0], [x] + out)]
+            return out
+        h = 1 << (len(c) - 1).bit_length() - 1
+        top = poly_mul_trunc(powers[h], shift(c[h:]), len(c) - 1)
+        return [(x + y) % pm for x, y in zip(shift(c[:h]) + [0] * (len(c) - h), top)]
+
+    return tuple(shift(list(coeffs)))
 
 
 def to_T_basis(F: GroupRingElt) -> TPoly:
@@ -122,7 +149,7 @@ def to_T_basis(F: GroupRingElt) -> TPoly:
 
 def from_T_basis(F: TPoly, generator: int | None = None) -> GroupRingElt:
     """Inverse transform: T = gamma - 1, expanded in the group basis."""
-    g = primitive_root(F.p, F.n) if generator is None else generator
+    g = _generator(F.p, F.n, generator)
     return GroupRingElt(F.p, F.n, F.m, _taylor_shift(F.coeffs, -1, F.p**F.m), g)
 
 

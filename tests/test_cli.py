@@ -249,6 +249,16 @@ def test_outputs_match_the_recorded_digests(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digests[line], line
 
 
+@pytest.mark.parametrize("fmt, digest", [
+    ("json", "6edcd648947b95d725bd779f27a5413c61d7b8c07e41fc5d51397b268336bef4"),
+    ("csv", "64e06b9e25cb226ca56bb7f75e2fc5e7e047cd83ffea672c94d424f39b52090a"),
+], ids=["json", "csv"])
+def test_mt_at_the_top_level_matches_its_digest(capsys, fmt, digest):
+    # the perfbench goldens stop at 3^8; 3^9 is the largest level the CLI admits
+    assert main(["mt", "--source", "phi9", "--p", "3", "--n", "9", "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_tau_n_is_capped_before_any_work(capsys, monkeypatch):
     def must_not_run(n):
         raise AssertionError("tau expanded despite the cap")

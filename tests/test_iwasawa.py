@@ -1,5 +1,4 @@
 import random
-from math import comb
 
 import pytest
 
@@ -9,6 +8,7 @@ from taumt.cusps import Cusp, cusp_representatives, INFINITY_CUSP
 from taumt.iwasawa import (
     GroupRingElt,
     TPoly,
+    _taylor_shift,
     fit_global_unit,
     from_T_basis,
     invariants,
@@ -66,6 +66,19 @@ def test_T_basis_round_trip():
         assert from_T_basis(to_T_basis(F)).coeffs == coeffs
 
 
+def test_T_basis_round_trip_at_3_to_the_10():
+    rng = random.Random(310)
+    coeffs = tuple(rng.randrange(9) for _ in range(3**10))
+    F = GroupRingElt(3, 10, 2, coeffs, primitive_root(3, 10))
+    assert from_T_basis(to_T_basis(F)).coeffs == coeffs
+
+
+@pytest.mark.parametrize("g", [4, 10])
+def test_from_T_basis_rejects_a_non_generator(g):
+    with pytest.raises(ValueError):
+        from_T_basis(TPoly(3, 2, 2, (1,) * 9), generator=g)
+
+
 def reference_to_T_basis(F: GroupRingElt) -> TPoly:
     """Expand sum c_j gamma^j as a polynomial in T = gamma - 1.
 
@@ -101,6 +114,33 @@ def reference_from_T_basis(F: TPoly, generator: int | None = None) -> GroupRingE
     return GroupRingElt(F.p, F.n, F.m, tuple(out), g)
 
 
+def reference_taylor_shift(coeffs: tuple[int, ...], s: int, pm: int) -> tuple[int, ...]:
+    """Coefficients of sum c_j (X + s)^j mod pm, by Horner's rule."""
+    out: list[int] = []
+    for c in reversed(coeffs):
+        out = [(s * hi + lo) % pm for hi, lo in zip(out + [0], [c] + out)]
+    return tuple(out)
+
+
+# lengths on both sides of the Horner block size 64 and of powers of two
+@pytest.mark.parametrize("length, pm", [(1, 9), (2, 9), (63, 9), (64, 25), (65, 25), (128, 49), (129, 27), (200, 81)])
+@pytest.mark.parametrize("s", [1, -1])
+def test_taylor_shift_matches_horner(length, pm, s):
+    rng = random.Random(length * 1000 + pm)
+    coeffs = tuple(rng.randrange(pm) for _ in range(length))
+    assert _taylor_shift(coeffs, s, pm) == reference_taylor_shift(coeffs, s, pm)
+
+
+@pytest.mark.parametrize("p, n, m", [(3, 8, 4), (5, 5, 4), (7, 4, 4)])
+def test_T_basis_matches_horner_on_a_dense_residue(p, n, m):
+    rng = random.Random(p * 100 + n * 10 + m)
+    pm, pn = p**m, p**n
+    F = GroupRingElt(p, n, m, tuple(rng.randrange(pm) for _ in range(pn)), primitive_root(p, n))
+    assert to_T_basis(F).coeffs == reference_taylor_shift(F.coeffs, 1, pm)
+    T = TPoly(p, n, m, tuple(rng.randrange(pm) for _ in range(pn)))
+    assert from_T_basis(T).coeffs == reference_taylor_shift(T.coeffs, -1, pm)
+
+
 @pytest.mark.parametrize("p, n, m", [(3, 7, 1), (5, 4, 3), (7, 3, 2)])
 def test_taylor_shift_matches_the_pascal_reference(p, n, m):
     rng = random.Random(p * 100 + n * 10 + m)
@@ -111,12 +151,16 @@ def test_taylor_shift_matches_the_pascal_reference(p, n, m):
     assert from_T_basis(T) == reference_from_T_basis(T)
 
 
-@pytest.mark.parametrize("p, n, m", [(3, 5, 2), (5, 3, 2), (7, 2, 3), (3, 7, 1)])
+@pytest.mark.parametrize("p, n, m", [(3, 5, 2), (5, 3, 2), (7, 2, 3), (3, 7, 1), (3, 9, 2), (5, 6, 1)])
 def test_norm_element_has_binomial_T_coefficients(p, n, m):
     # N = sum gamma^i = ((1 + T)^(p^n) - 1) / T, so its T^i coefficient is C(p^n, i + 1)
     pn = p**n
     N = GroupRingElt(p, n, m, (1,) * pn, primitive_root(p, n))
-    assert to_T_basis(N).coeffs == tuple(comb(pn, i + 1) % p**m for i in range(pn))
+    binomials, c = [], 1
+    for i in range(pn):
+        c = c * (pn - i) // (i + 1)  # C(pn, i + 1), exactly
+        binomials.append(c % p**m)
+    assert to_T_basis(N).coeffs == tuple(binomials)
 
 
 @pytest.mark.parametrize("g", [3, 4, 10])
